@@ -44,8 +44,8 @@ use bfly_bench::{env_f64, env_u64, env_usize, host_cores, smoke_run};
 use bfly_core::Method;
 use bfly_data::TrafficTrace;
 use bfly_serve::{
-    closed_loop_models_with_pool, trace_loop, AutoscaleConfig, AutoscaleReport, CacheConfig,
-    ReplicaStats, ScaleDecision, ServeConfig, Server,
+    Arrivals, AutoscaleConfig, AutoscaleReport, CacheConfig, LoadPlan, ReplicaStats, ScaleDecision,
+    ServeConfig, Server,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -190,14 +190,10 @@ fn calibrate(w: &Workload, method: Method) -> Calibration {
     let name = method.label().to_lowercase();
     let server =
         Server::start(serve_config(w, AutoscaleConfig::default()), &[method]).expect("dim fits");
-    let report = closed_loop_models_with_pool(
-        &server,
-        &[name.as_str()],
-        w.clients,
-        w.per_client,
-        0xBEE5,
-        w.pool,
-    );
+    let arrivals = Arrivals::Closed { clients: w.clients, per_client: w.per_client };
+    let models = vec![name.clone()];
+    let report =
+        LoadPlan { models, arrivals, seed: 0xBEE5, pool: w.pool, slo_sim_us: None }.run(&server);
     server.shutdown();
     Calibration {
         method: name,
@@ -230,7 +226,14 @@ fn run_once(
 ) -> RunStats {
     let name = method.label().to_lowercase();
     let server = Server::start(serve_config(w, autoscale), &[method]).expect("dim fits");
-    let report = trace_loop(&server, &name, arrivals, 0xBEE5, w.pool, Some(slo_sim_us));
+    let plan = LoadPlan {
+        models: vec![name.clone()],
+        arrivals: Arrivals::Trace(arrivals.to_vec()),
+        seed: 0xBEE5,
+        pool: w.pool,
+        slo_sim_us: Some(slo_sim_us),
+    };
+    let report = plan.run(&server);
     let autoscale_report = server.autoscale_report();
     let snapshot = server.shutdown();
     let makespan_us = snapshot.pod_makespan_us;

@@ -23,7 +23,7 @@
 use bfly_bench::json::write_bench_json;
 use bfly_bench::{env_f64, env_usize, host_cores, smoke_run};
 use bfly_core::Method;
-use bfly_serve::{open_loop_with_pool, CacheConfig, LoadReport, ServeConfig, Server};
+use bfly_serve::{Arrivals, CacheConfig, LoadPlan, ServeConfig, Server};
 use serde::Serialize;
 use std::time::Duration;
 
@@ -104,8 +104,10 @@ fn run_once(
         ..Default::default()
     };
     let server = Server::start(config, &[Method::Butterfly]).expect("dim must fit butterfly");
-    let report: LoadReport =
-        open_loop_with_pool(&server, "butterfly", rate, requests, 0xBEE5, pool_size);
+    let arrivals = Arrivals::Poisson { rate_hz: rate, total: requests };
+    let models = vec!["butterfly".to_string()];
+    let report =
+        LoadPlan { models, arrivals, seed: 0xBEE5, pool: pool_size, slo_sim_us: None }.run(&server);
     let snapshot = server.shutdown();
     let m = &snapshot.models[0];
     RunStats {

@@ -27,8 +27,8 @@ use bfly_bench::json::write_bench_json;
 use bfly_bench::{env_u64, env_usize, host_cores, smoke_run};
 use bfly_core::Method;
 use bfly_serve::{
-    closed_loop_models_with_pool, CacheConfig, FaultPlan, LoadReport, ReplicaStats, Routing,
-    ServeConfig, Server,
+    Arrivals, CacheConfig, FaultPlan, LoadPlan, LoadReport, ReplicaStats, Routing, ServeConfig,
+    Server,
 };
 use serde::Serialize;
 use std::time::Duration;
@@ -120,14 +120,10 @@ fn run_once(
     };
     let name = method.label().to_lowercase();
     let server = Server::start(config, &[method]).expect("dim must fit the method");
-    let report = closed_loop_models_with_pool(
-        &server,
-        &[name.as_str()],
-        w.clients,
-        w.per_client,
-        0xBEE5,
-        w.pool,
-    );
+    let arrivals = Arrivals::Closed { clients: w.clients, per_client: w.per_client };
+    let models = vec![name.clone()];
+    let report =
+        LoadPlan { models, arrivals, seed: 0xBEE5, pool: w.pool, slo_sim_us: None }.run(&server);
     let snapshot = server.shutdown();
     let makespan_us = snapshot.pod_makespan_us;
     let succeeded = report.completed - report.pod_down - report.deadline_exceeded;

@@ -31,7 +31,7 @@ use bfly_bench::{env_f64, env_u64, env_usize, format_table, host_cores, smoke_ru
 use bfly_core::{compress_model, Method, ModelCompressConfig};
 use bfly_data::{generate, split, Split, SynthSpec};
 use bfly_nn::{build_dense_mlp, evaluate, fit, Sequential, TrainConfig};
-use bfly_serve::{closed_loop_models_with_pool, CacheConfig, PrebuiltModel, ServeConfig, Server};
+use bfly_serve::{Arrivals, CacheConfig, LoadPlan, PrebuiltModel, ServeConfig, Server};
 use bfly_tensor::seeded_rng;
 use serde::Serialize;
 use std::time::Duration;
@@ -182,9 +182,10 @@ fn serve_once(
         ..Default::default()
     };
     let server =
-        Server::start_fleet_prebuilt(config, &[], vec![PrebuiltModel::new(name, method, stack)])
-            .expect("prebuilt fleet");
-    let load = closed_loop_models_with_pool(&server, &[name], clients, per_client, 64, 64);
+        Server::start(config, [PrebuiltModel::new(name, method, stack)]).expect("prebuilt fleet");
+    let arrivals = Arrivals::Closed { clients, per_client };
+    let models = vec![name.to_string()];
+    let load = LoadPlan { models, arrivals, seed: 64, pool: 64, slo_sim_us: None }.run(&server);
     let snapshot = server.shutdown();
     let makespan = snapshot.pod_makespan_us;
     ServeStats {

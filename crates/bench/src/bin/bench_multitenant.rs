@@ -29,8 +29,8 @@ use bfly_bench::json::write_bench_json;
 use bfly_bench::{env_f64, env_u64, env_usize, host_cores, smoke_run};
 use bfly_core::Method;
 use bfly_serve::{
-    closed_loop_models_with_pool, CacheConfig, ModelSpec, ResidencyConfig, ResidencyPolicy,
-    ServeConfig, Server, ZipfSampler,
+    Arrivals, CacheConfig, LoadPlan, ModelSpec, ResidencyConfig, ResidencyPolicy, ServeConfig,
+    Server, ZipfSampler,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -119,17 +119,17 @@ fn run_once(w: &Workload, method: Method, models: usize) -> RunStats {
         residency: ResidencyConfig { policy: w.policy, ..ResidencyConfig::with_budget(w.budget) },
         ..Default::default()
     };
-    let server = Server::start_fleet(config, &specs).expect("valid fleet");
+    let server = Server::start(config, specs).expect("valid fleet");
 
     // Pre-sample the Zipf-skewed model trace once, seeded, so butterfly and
     // dense fleets of the same size see the *identical* popularity pattern.
     let sampler = ZipfSampler::new(models, w.zipf);
     let mut rng = ChaCha8Rng::seed_from_u64(0x21F5);
-    let names: Vec<String> =
-        (0..w.trace_len).map(|_| format!("m{:03}", sampler.sample(&mut rng))).collect();
-    let trace: Vec<&str> = names.iter().map(String::as_str).collect();
+    let trace = (0..w.trace_len).map(|_| format!("m{:03}", sampler.sample(&mut rng))).collect();
 
-    let report = closed_loop_models_with_pool(&server, &trace, w.clients, w.per_client, 0xFEED, 64);
+    let arrivals = Arrivals::Closed { clients: w.clients, per_client: w.per_client };
+    let report =
+        LoadPlan { models: trace, arrivals, seed: 0xFEED, pool: 64, slo_sim_us: None }.run(&server);
     let snapshot = server.shutdown();
     let res = &snapshot.residency;
     let resident_tenants = {

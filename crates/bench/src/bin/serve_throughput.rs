@@ -23,7 +23,7 @@
 use bfly_bench::json::write_bench_json;
 use bfly_bench::{env_f64, env_usize, host_cores};
 use bfly_core::{Method, PixelflyConfig};
-use bfly_serve::{open_loop, CacheConfig, LoadReport, ServeConfig, Server};
+use bfly_serve::{Arrivals, CacheConfig, LoadPlan, LoadReport, ServeConfig, Server};
 use serde::Serialize;
 use std::time::Duration;
 
@@ -100,8 +100,10 @@ fn run_once(
         ..Default::default()
     };
     let server = Server::start(config, &[method]).expect("BFLY_SERVE_DIM must fit every method");
-    let name = server.model_names().remove(0);
-    let report = open_loop(&server, &name, rate, requests, 0xBEE5);
+    let models = server.model_names();
+    let arrivals = Arrivals::Poisson { rate_hz: rate, total: requests };
+    let report =
+        LoadPlan { models, arrivals, seed: 0xBEE5, pool: 32, slo_sim_us: None }.run(&server);
     server.shutdown();
     report
 }

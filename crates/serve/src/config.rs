@@ -294,11 +294,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Whether the GPU time attribution uses the TF32 tensor-core path.
     pub tensor_cores: bool,
-    /// Registry partitions: model entries and their admission lanes are
-    /// hashed by name across this many shards, so name resolution is O(1)
-    /// and submit-side lock traffic spreads instead of funnelling through
-    /// one registry-wide lock.
-    pub registry_shards: usize,
     /// Response cache + in-flight dedup configuration.
     pub cache: CacheConfig,
     /// Simulated pod size: device replicas batches are routed across, each
@@ -348,7 +343,6 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             workers: std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(2),
             tensor_cores: false,
-            registry_shards: crate::registry::DEFAULT_REGISTRY_SHARDS,
             cache: CacheConfig::default(),
             replicas: 1,
             routing: Routing::default(),
@@ -370,7 +364,6 @@ impl ServeConfig {
         assert!(self.max_batch > 0, "max_batch must be positive");
         assert!(self.queue_capacity > 0, "queue_capacity must be positive");
         assert!(self.workers > 0, "workers must be positive");
-        assert!(self.registry_shards > 0, "registry_shards must be positive");
         assert!(self.replicas > 0, "replicas must be positive");
         assert!(self.replica_queue > 0, "replica_queue must be positive");
         self.cache.validate();
@@ -394,12 +387,6 @@ mod tests {
     #[should_panic(expected = "max_batch")]
     fn zero_batch_rejected() {
         ServeConfig { max_batch: 0, ..Default::default() }.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "registry_shards")]
-    fn zero_registry_shards_rejected() {
-        ServeConfig { registry_shards: 0, ..Default::default() }.validate();
     }
 
     #[test]

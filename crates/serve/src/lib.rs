@@ -5,11 +5,12 @@
 //! question that follows: *what does serving such a model look like?* It is
 //! a thread-based serving runtime (no async runtime) that:
 //!
-//! - registers one forward-only model per compression method in an N-way
-//!   *sharded* registry ([`ModelRegistry`], built on
-//!   `bfly_core::build_shl_inference` so no gradient or momentum memory is
-//!   ever allocated): model names hash to shards, and each shard owns the
-//!   admission lanes of its models so submit-side lock traffic spreads;
+//! - registers forward-only models in an N-way *sharded* registry
+//!   ([`ModelRegistry`]): each [`ModelSource`] is either a compression
+//!   method built on `bfly_core::build_shl_inference` (so no gradient or
+//!   momentum memory is ever allocated) or a [`PrebuiltModel`] carrying its
+//!   own trained weights; model names hash to shards, and each shard owns
+//!   the admission lanes of its models so submit-side lock traffic spreads;
 //! - answers repeated inputs from a content-addressed response cache and
 //!   coalesces concurrent identical requests onto one in-flight forward
 //!   ([`CacheConfig`], [`crate::cache`]) — a frozen model is a pure
@@ -22,9 +23,8 @@
 //!   `serve_throughput` bench quantifies;
 //! - routes each micro-batch across a simulated multi-IPU pod
 //!   ([`crate::replica`]): `replicas` simulated devices with per-replica
-//!   occupancy clocks, bounded replica queues, and pluggable policies
-//!   ([`Routing`]: round-robin, power-of-two-choices,
-//!   join-shortest-queue);
+//!   occupancy clocks, bounded replica queues, and a [`Routing`] policy
+//!   (round-robin, power-of-two-choices or join-shortest-queue);
 //! - manages weight residency as a cache over streaming memory
 //!   ([`crate::residency`]): per-replica SRAM budgets, IPU-Link cold loads
 //!   vs. streaming page-ins, pluggable eviction (LRU / cost-aware), and
@@ -53,6 +53,10 @@
 //!   in `bfly-data` to exercise flash crowds and diurnal load;
 //! - shuts down gracefully: every admitted request is answered before
 //!   [`Server::shutdown`] returns.
+//!
+//! There is one way to build a server — [`Server::start`] over a config and
+//! a list of models — and one load driver, [`LoadPlan::run`], covering
+//! Poisson, replayed-trace and closed-loop arrivals ([`Arrivals`]).
 //!
 //! ```no_run
 //! use bfly_core::Method;
@@ -84,11 +88,7 @@ pub use autoscale::{AutoscaleEvent, AutoscaleReport, ScaleDecision, ScalePolicy,
 pub use cache::{hash_bytes, input_key, payload_key};
 pub use config::{AutoscaleConfig, CacheConfig, IngressConfig, QosConfig, RateLimit, ServeConfig};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use loadgen::{
-    closed_loop, closed_loop_models, closed_loop_models_with_pool, closed_loop_with_pool,
-    input_pool, open_loop, open_loop_with_pool, trace_loop, LoadReport, ZipfSampler,
-    DEFAULT_INPUT_POOL,
-};
+pub use loadgen::{input_pool, Arrivals, LoadPlan, LoadReport, ZipfSampler};
 pub use metrics::{
     CacheStats, Histogram, IngressMetrics, IngressStats, MethodDeviceStats, ModelDelta,
     ModelMetrics, ModelStats, RegistryShardStats, ReplicaDelta, ReplicaStats, ResidencySummary,
@@ -96,12 +96,10 @@ pub use metrics::{
 };
 pub use payload::Payload;
 pub use registry::{
-    DeviceEstimate, ModelEntry, ModelLocation, ModelRegistry, ModelSpec, PrebuiltModel,
-    DEFAULT_REGISTRY_SHARDS,
+    DeviceEstimate, ModelEntry, ModelLocation, ModelRegistry, ModelSource, ModelSpec,
+    PrebuiltModel, RegistryError, DEFAULT_REGISTRY_SHARDS,
 };
-pub use replica::{
-    JoinShortestQueue, PowerOfTwoChoices, ReplicaOccupancy, RoundRobin, RoutePolicy, Routing,
-};
+pub use replica::Routing;
 pub use request::{InferResponse, ResponseHandle, ServedFrom, SubmitError, Timing};
 pub use residency::{ResidencyConfig, ResidencyPolicy, TenantQuota};
 pub use server::Server;

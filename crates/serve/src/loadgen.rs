@@ -1,5 +1,6 @@
-//! Load generators: seeded open-loop (Poisson arrivals) and closed-loop
-//! (fixed concurrency) drivers, with client-side latency accounting.
+//! Load generation: one seeded [`LoadPlan`] that drives a server open-loop
+//! (Poisson or replayed-trace arrivals) or closed-loop (fixed concurrency),
+//! with client-side latency accounting.
 
 use crate::payload::Payload;
 use crate::request::{ResponseHandle, ServedFrom, SubmitError};
@@ -7,14 +8,6 @@ use crate::server::Server;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::{Duration, Instant};
-
-/// Default number of distinct random input vectors a generator cycles
-/// through (pre-generated so the submission path measures the server, not
-/// the RNG). The `*_with_pool` variants take an explicit size: the pool is
-/// the *input-reuse knob* — with the response cache on, a pool of `p`
-/// against `n ≫ p` requests yields a steady-state hit rate of about
-/// `1 - p/n`, so sweeping `p` sweeps the cache's effectiveness.
-pub const DEFAULT_INPUT_POOL: usize = 32;
 
 /// Client-side result of one load-generation run.
 #[derive(Debug, Clone)]
@@ -62,7 +55,7 @@ pub struct LoadReport {
     /// Mean simulated per-batch latency, microseconds.
     pub sim_mean_us: f64,
     /// Simulated-latency SLO the run was scored against, microseconds
-    /// (0.0 when the generator was not given one).
+    /// (0.0 when the plan set none).
     pub slo_sim_us: f64,
     /// Successful responses whose simulated batch latency exceeded
     /// `slo_sim_us` — the SLO-miss count of the autoscale bench, measured
@@ -70,17 +63,9 @@ pub struct LoadReport {
     pub sim_slo_misses: u64,
 }
 
-fn quantile(sorted: &[u64], q: f64) -> u64 {
+fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-fn quantile_f64(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+        return T::default();
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
@@ -126,8 +111,8 @@ impl ZipfSampler {
         self.cdf.len()
     }
 
-    /// True when the sampler has exactly one item (which it then always
-    /// returns).
+    /// Always false: construction rejects an empty item set, so a sampler
+    /// holds at least one item.
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -180,29 +165,8 @@ impl Outcomes {
     }
 }
 
-fn report_from(
-    offered: u64,
-    accepted: u64,
-    shed: u64,
-    refused_pod_down: u64,
-    outcomes: Outcomes,
-    elapsed_s: f64,
-    submit_window_s: f64,
-) -> LoadReport {
-    report_with_slo(
-        offered,
-        accepted,
-        shed,
-        refused_pod_down,
-        outcomes,
-        elapsed_s,
-        submit_window_s,
-        None,
-    )
-}
-
 #[allow(clippy::too_many_arguments)]
-fn report_with_slo(
+fn report(
     offered: u64,
     accepted: u64,
     shed: u64,
@@ -254,9 +218,9 @@ fn report_with_slo(
         latency_p99_us: quantile(&latencies, 0.99),
         latency_mean_us: mean,
         mean_batch,
-        sim_p50_us: quantile_f64(&sim_latencies, 0.50),
-        sim_p95_us: quantile_f64(&sim_latencies, 0.95),
-        sim_p99_us: quantile_f64(&sim_latencies, 0.99),
+        sim_p50_us: quantile(&sim_latencies, 0.50),
+        sim_p95_us: quantile(&sim_latencies, 0.95),
+        sim_p99_us: quantile(&sim_latencies, 0.99),
         sim_mean_us: sim_mean,
         slo_sim_us: slo_sim_us.unwrap_or(0.0),
         sim_slo_misses: match slo_sim_us {
@@ -268,13 +232,13 @@ fn report_with_slo(
 
 /// Pre-generates `pool_size` seeded random input rows of width `dim`.
 ///
-/// Shared by every load generator so two runs with the same seed and pool
-/// size offer byte-identical inputs — which is what makes cache-on vs
+/// [`LoadPlan`] draws its inputs here, so two runs with the same seed and
+/// pool size offer byte-identical inputs — which is what makes cache-on vs
 /// cache-off comparisons at equal offered load meaningful.
 ///
 /// Entries are shared [`Payload`]s: every submission of a pool row is a
-/// reference-count bump on the one allocation made here, so the generators
-/// measure the server's admission path, not their own memcpys.
+/// reference-count bump on the one allocation made here, so the plan
+/// measures the server's admission path, not its own memcpys.
 pub fn input_pool(dim: usize, pool_size: usize, rng: &mut ChaCha8Rng) -> Vec<Payload> {
     assert!(pool_size > 0, "input pool must be non-empty");
     (0..pool_size)
@@ -282,252 +246,226 @@ pub fn input_pool(dim: usize, pool_size: usize, rng: &mut ChaCha8Rng) -> Vec<Pay
         .collect()
 }
 
-/// Open-loop generator: submits `total` requests with seeded Poisson
-/// arrivals at `rate_hz`, never waiting for responses during the submission
-/// window (arrivals are independent of service — the generator that can
-/// overload the server and exercise shedding). Cycles through
-/// [`DEFAULT_INPUT_POOL`] distinct inputs.
-pub fn open_loop(server: &Server, model: &str, rate_hz: f64, total: u64, seed: u64) -> LoadReport {
-    open_loop_with_pool(server, model, rate_hz, total, seed, DEFAULT_INPUT_POOL)
+/// How a [`LoadPlan`] offers its requests.
+#[derive(Debug, Clone)]
+pub enum Arrivals {
+    /// Open loop: `total` requests with seeded Poisson arrivals at
+    /// `rate_hz`. The exponential gaps come from the plan's seeded stream,
+    /// drawn after the input pool, and are then replayed as a trace.
+    Poisson {
+        /// Mean offered rate, requests per second.
+        rate_hz: f64,
+        /// Requests to offer.
+        total: u64,
+    },
+    /// Open loop over a pre-computed schedule: entry `i` is the second,
+    /// after the run starts, at which request `i` is offered (ascending —
+    /// e.g. `bfly_data::TrafficTrace::arrivals` for diurnal, flash-crowd or
+    /// Pareto shapes). Raw offsets keep this crate decoupled from the trace
+    /// builder.
+    Trace(Vec<f64>),
+    /// Closed loop: `clients` threads each keep exactly one request in
+    /// flight for `per_client` iterations. Throughput is
+    /// admission-controlled by construction; sheds are retried, not
+    /// dropped.
+    Closed {
+        /// Concurrent client threads.
+        clients: u64,
+        /// Requests each client sends, one at a time.
+        per_client: u64,
+    },
 }
 
-/// [`open_loop`] with an explicit input-pool size (the input-reuse knob:
-/// smaller pools mean more repeated inputs, i.e. more cache hits).
-pub fn open_loop_with_pool(
-    server: &Server,
-    model: &str,
-    rate_hz: f64,
-    total: u64,
-    seed: u64,
-    pool_size: usize,
-) -> LoadReport {
-    assert!(rate_hz > 0.0, "open_loop needs a positive rate");
-    let dim = server.config().dim;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let inputs = input_pool(dim, pool_size, &mut rng);
-
-    let mut handles: Vec<ResponseHandle> = Vec::with_capacity(total as usize);
-    let mut shed = 0u64;
-    let mut refused_pod_down = 0u64;
-    let start = Instant::now();
-    let mut next_arrival = start;
-    for i in 0..total {
-        // Exponential inter-arrival via inverse CDF.
-        let u: f64 = rng.gen();
-        next_arrival += Duration::from_secs_f64(-(1.0 - u).ln() / rate_hz);
-        let now = Instant::now();
-        if next_arrival > now {
-            std::thread::sleep(next_arrival - now);
-        }
-        match server.submit(model, i, i, inputs[(i as usize) % inputs.len()].clone()) {
-            Ok(handle) => handles.push(handle),
-            Err(SubmitError::Overloaded) => shed += 1,
-            // A dead pod refuses everything; keep offering so the report
-            // still reflects the intended load.
-            Err(SubmitError::PodDown) => refused_pod_down += 1,
-            Err(e) => panic!("open_loop submit failed: {e}"),
-        }
-    }
-    let submit_window_s = start.elapsed().as_secs_f64();
-
-    let accepted = handles.len() as u64;
-    let mut outcomes = Outcomes::default();
-    for handle in handles {
-        let response = handle.wait().expect("admitted requests are always answered");
-        outcomes.absorb(&response);
-    }
-    let elapsed_s = start.elapsed().as_secs_f64();
-    report_from(total, accepted, shed, refused_pod_down, outcomes, elapsed_s, submit_window_s)
-}
-
-/// Trace-driven open-loop generator: replays a pre-computed arrival
-/// schedule (`arrivals[i]` = seconds after the run starts at which request
-/// `i` is offered, ascending — e.g. `bfly_data::TrafficTrace::arrivals` for
-/// diurnal/flash-crowd/Pareto shapes) against the server, never waiting for
-/// responses during the window. Taking raw offsets keeps this crate
-/// decoupled from the trace builder and makes any replayed schedule —
-/// seeded, recorded, or hand-written — drivable through the same path.
+/// One seeded load-generation run against a server.
 ///
-/// `slo_sim_us`, when given, scores every successful response against a
-/// *simulated*-latency SLO: a response whose batch reserved more than this
-/// many simulated µs on its replica (queued compute plus any cold weight
-/// load) counts as an SLO miss. The autoscale bench uses this to count
-/// misses during a flash-crowd ramp — in the domain where the weight-load
-/// asymmetry between factorizations actually lives.
-pub fn trace_loop(
-    server: &Server,
-    model: &str,
-    arrivals: &[f64],
-    seed: u64,
-    pool_size: usize,
-    slo_sim_us: Option<f64>,
-) -> LoadReport {
-    let dim = server.config().dim;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let inputs = input_pool(dim, pool_size, &mut rng);
+/// Open-loop plans never wait for responses during the submission window
+/// (arrivals are independent of service — the mode that can overload the
+/// server and exercise shedding); open-loop request `i` targets
+/// `models[i % models.len()]`. Closed-loop client `c` walks the input pool
+/// and the model list from offset `c`, so clients run out of phase: a
+/// multi-model deployment is loaded on every model at once, and
+/// cross-client coalescing is exercised without every thread hammering the
+/// same key in lockstep.
+#[derive(Debug, Clone)]
+pub struct LoadPlan {
+    /// Target model names; must be non-empty.
+    pub models: Vec<String>,
+    /// Open-loop schedule or closed-loop concurrency.
+    pub arrivals: Arrivals,
+    /// Seeds the input pool and, after it, the Poisson gaps.
+    pub seed: u64,
+    /// Distinct input rows cycled through — the input-reuse knob: with the
+    /// response cache on, a pool of `p` against `n ≫ p` requests yields a
+    /// steady-state hit rate of about `1 - p/n`.
+    pub pool: usize,
+    /// Scores every successful response against a *simulated*-latency SLO:
+    /// a response whose batch reserved more than this many simulated µs on
+    /// its replica (queued compute plus any cold weight load) counts as a
+    /// miss in [`LoadReport::sim_slo_misses`]. The autoscale bench counts
+    /// misses during a flash-crowd ramp this way — in the domain where the
+    /// weight-load asymmetry between factorizations actually lives.
+    pub slo_sim_us: Option<f64>,
+}
 
-    let mut handles: Vec<ResponseHandle> = Vec::with_capacity(arrivals.len());
-    let mut shed = 0u64;
-    let mut refused_pod_down = 0u64;
-    let start = Instant::now();
-    for (i, &at_s) in arrivals.iter().enumerate() {
-        let due = start + Duration::from_secs_f64(at_s.max(0.0));
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let i = i as u64;
-        match server.submit(model, i, i, inputs[(i as usize) % inputs.len()].clone()) {
-            Ok(handle) => handles.push(handle),
-            Err(SubmitError::Overloaded) => shed += 1,
-            Err(SubmitError::PodDown) => refused_pod_down += 1,
-            Err(e) => panic!("trace_loop submit failed: {e}"),
+impl LoadPlan {
+    /// Offers the plan's load to `server` and waits for every admitted
+    /// request's response.
+    pub fn run(&self, server: &Server) -> LoadReport {
+        assert!(!self.models.is_empty(), "a load plan needs at least one target model");
+        let (inputs, offsets) = self.draw(server.config().dim);
+        match self.arrivals {
+            Arrivals::Closed { clients, per_client } => {
+                self.closed(server, &inputs, clients, per_client)
+            }
+            Arrivals::Poisson { .. } | Arrivals::Trace(_) => self.open(server, &inputs, &offsets),
         }
     }
-    let submit_window_s = start.elapsed().as_secs_f64();
 
-    let accepted = handles.len() as u64;
-    let mut outcomes = Outcomes::default();
-    for handle in handles {
-        let response = handle.wait().expect("admitted requests are always answered");
-        outcomes.absorb(&response);
+    /// The seeded input pool, then the open-loop offer schedule in seconds
+    /// after the start (empty for closed loops).
+    fn draw(&self, dim: usize) -> (Vec<Payload>, Vec<f64>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let inputs = input_pool(dim, self.pool, &mut rng);
+        let offsets = match &self.arrivals {
+            Arrivals::Poisson { rate_hz, total } => {
+                assert!(*rate_hz > 0.0, "Poisson arrivals need a positive rate");
+                let mut at = 0.0;
+                (0..*total)
+                    .map(|_| {
+                        // Exponential inter-arrival via inverse CDF.
+                        let u: f64 = rng.gen();
+                        at += -(1.0 - u).ln() / rate_hz;
+                        at
+                    })
+                    .collect()
+            }
+            Arrivals::Trace(offsets) => offsets.clone(),
+            Arrivals::Closed { .. } => Vec::new(),
+        };
+        (inputs, offsets)
     }
-    let elapsed_s = start.elapsed().as_secs_f64();
-    report_with_slo(
-        arrivals.len() as u64,
-        accepted,
-        shed,
-        refused_pod_down,
-        outcomes,
-        elapsed_s,
-        submit_window_s,
-        slo_sim_us,
-    )
-}
 
-/// Closed-loop generator: `clients` threads each keep exactly one request in
-/// flight for `per_client` iterations (throughput is admission-controlled by
-/// construction; sheds are retried, not dropped). Cycles through
-/// [`DEFAULT_INPUT_POOL`] distinct inputs per client.
-pub fn closed_loop(
-    server: &Server,
-    model: &str,
-    clients: u64,
-    per_client: u64,
-    seed: u64,
-) -> LoadReport {
-    closed_loop_with_pool(server, model, clients, per_client, seed, DEFAULT_INPUT_POOL)
-}
+    fn open(&self, server: &Server, inputs: &[Payload], offsets: &[f64]) -> LoadReport {
+        let mut handles: Vec<ResponseHandle> = Vec::with_capacity(offsets.len());
+        let mut shed = 0u64;
+        let mut refused_pod_down = 0u64;
+        let start = Instant::now();
+        for (i, &at_s) in offsets.iter().enumerate() {
+            let due = start + Duration::from_secs_f64(at_s.max(0.0));
+            let now = Instant::now();
+            if due > now {
+                std::thread::sleep(due - now);
+            }
+            let model = &self.models[i % self.models.len()];
+            let seq = i as u64;
+            match server.submit(model, seq, seq, inputs[i % inputs.len()].clone()) {
+                Ok(handle) => handles.push(handle),
+                Err(SubmitError::Overloaded) => shed += 1,
+                // A dead pod refuses everything; keep offering so the report
+                // still reflects the intended load.
+                Err(SubmitError::PodDown) => refused_pod_down += 1,
+                Err(e) => panic!("open-loop submit failed: {e}"),
+            }
+        }
+        let submit_window_s = start.elapsed().as_secs_f64();
 
-/// [`closed_loop`] with an explicit per-client input-pool size (the
-/// input-reuse knob; all clients share one seeded pool so cross-client
-/// coalescing is also exercised).
-pub fn closed_loop_with_pool(
-    server: &Server,
-    model: &str,
-    clients: u64,
-    per_client: u64,
-    seed: u64,
-    pool_size: usize,
-) -> LoadReport {
-    closed_loop_models_with_pool(server, &[model], clients, per_client, seed, pool_size)
-}
+        let accepted = handles.len() as u64;
+        let mut outcomes = Outcomes::default();
+        for handle in handles {
+            let response = handle.wait().expect("admitted requests are always answered");
+            outcomes.absorb(&response);
+        }
+        let elapsed_s = start.elapsed().as_secs_f64();
+        report(
+            offsets.len() as u64,
+            accepted,
+            shed,
+            refused_pod_down,
+            outcomes,
+            elapsed_s,
+            submit_window_s,
+            self.slo_sim_us,
+        )
+    }
 
-/// [`closed_loop`] over a per-client target model list with
-/// [`DEFAULT_INPUT_POOL`] distinct inputs.
-pub fn closed_loop_models(
-    server: &Server,
-    models: &[&str],
-    clients: u64,
-    per_client: u64,
-    seed: u64,
-) -> LoadReport {
-    closed_loop_models_with_pool(server, models, clients, per_client, seed, DEFAULT_INPUT_POOL)
-}
-
-/// Closed-loop generator over a *target model list*: every client cycles
-/// through `models`, starting at an offset of its client id, so a
-/// multi-model (replicated) deployment is loaded on every model at once —
-/// what a pod bench needs to warm weight residency for several models.
-/// Inputs come from one shared seeded pool of `pool_size` rows (the reuse
-/// knob, as in [`closed_loop_with_pool`]).
-pub fn closed_loop_models_with_pool(
-    server: &Server,
-    models: &[&str],
-    clients: u64,
-    per_client: u64,
-    seed: u64,
-    pool_size: usize,
-) -> LoadReport {
-    assert!(!models.is_empty(), "closed loop needs at least one target model");
-    let dim = server.config().dim;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let inputs = input_pool(dim, pool_size, &mut rng);
-    let start = Instant::now();
-    let results: Vec<(u64, u64, u64, Outcomes)> = std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..clients)
-            .map(|c| {
-                let inputs = &inputs;
-                scope.spawn(move || {
-                    let mut sheds = 0u64;
-                    let mut accepted = 0u64;
-                    let mut refused_pod_down = 0u64;
-                    let mut outcomes = Outcomes::default();
-                    'client: for s in 0..per_client {
-                        // Offset by client id so clients walk the shared
-                        // pool (and the model list) out of phase: exercises
-                        // cross-client coalescing without every thread
-                        // hammering the same key in lockstep.
-                        let input = inputs[(c as usize + s as usize) % inputs.len()].clone();
-                        let model = models[(c as usize + s as usize) % models.len()];
-                        let handle = loop {
-                            match server.submit(model, c, s, input.clone()) {
-                                Ok(handle) => break handle,
-                                Err(SubmitError::Overloaded) => {
-                                    sheds += 1;
-                                    std::thread::sleep(Duration::from_micros(50));
+    fn closed(
+        &self,
+        server: &Server,
+        inputs: &[Payload],
+        clients: u64,
+        per_client: u64,
+    ) -> LoadReport {
+        let models = &self.models;
+        let start = Instant::now();
+        let results: Vec<(u64, u64, u64, Outcomes)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..clients)
+                .map(|c| {
+                    scope.spawn(move || {
+                        let mut sheds = 0u64;
+                        let mut accepted = 0u64;
+                        let mut refused_pod_down = 0u64;
+                        let mut outcomes = Outcomes::default();
+                        'client: for s in 0..per_client {
+                            let input = inputs[(c as usize + s as usize) % inputs.len()].clone();
+                            let model = &models[(c as usize + s as usize) % models.len()];
+                            let handle = loop {
+                                match server.submit(model, c, s, input.clone()) {
+                                    Ok(handle) => break handle,
+                                    Err(SubmitError::Overloaded) => {
+                                        sheds += 1;
+                                        std::thread::sleep(Duration::from_micros(50));
+                                    }
+                                    Err(SubmitError::PodDown) => {
+                                        // Unrecoverable: retrying would spin
+                                        // forever, so the client gives up on
+                                        // its remaining iterations.
+                                        refused_pod_down += 1;
+                                        break 'client;
+                                    }
+                                    Err(e) => panic!("closed-loop submit failed: {e}"),
                                 }
-                                Err(SubmitError::PodDown) => {
-                                    // Unrecoverable: retrying would spin
-                                    // forever, so the client gives up on
-                                    // its remaining iterations.
-                                    refused_pod_down += 1;
-                                    break 'client;
-                                }
-                                Err(e) => panic!("closed_loop submit failed: {e}"),
-                            }
-                        };
-                        accepted += 1;
-                        let response =
-                            handle.wait().expect("admitted requests are always answered");
-                        assert_eq!(response.seq, s, "closed-loop response out of order");
-                        outcomes.absorb(&response);
-                    }
-                    (sheds, accepted, refused_pod_down, outcomes)
+                            };
+                            accepted += 1;
+                            let response =
+                                handle.wait().expect("admitted requests are always answered");
+                            assert_eq!(response.seq, s, "closed-loop response out of order");
+                            outcomes.absorb(&response);
+                        }
+                        (sheds, accepted, refused_pod_down, outcomes)
+                    })
                 })
-            })
-            .collect();
-        threads.into_iter().map(|t| t.join().expect("client thread panicked")).collect()
-    });
-    let elapsed_s = start.elapsed().as_secs_f64();
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("client thread panicked")).collect()
+        });
+        let elapsed_s = start.elapsed().as_secs_f64();
 
-    let mut shed = 0u64;
-    let mut accepted = 0u64;
-    let mut refused_pod_down = 0u64;
-    let mut outcomes = Outcomes::default();
-    for (s, a, refused, o) in results {
-        shed += s;
-        accepted += a;
-        refused_pod_down += refused;
-        outcomes.deadline_exceeded += o.deadline_exceeded;
-        outcomes.pod_down += o.pod_down;
-        outcomes.refused += o.refused;
-        outcomes.latencies.extend(o.latencies);
-        outcomes.batch_sizes.extend(o.batch_sizes);
-        outcomes.sim_latencies.extend(o.sim_latencies);
+        let mut shed = 0u64;
+        let mut accepted = 0u64;
+        let mut refused_pod_down = 0u64;
+        let mut outcomes = Outcomes::default();
+        for (s, a, refused, o) in results {
+            shed += s;
+            accepted += a;
+            refused_pod_down += refused;
+            outcomes.deadline_exceeded += o.deadline_exceeded;
+            outcomes.pod_down += o.pod_down;
+            outcomes.refused += o.refused;
+            outcomes.latencies.extend(o.latencies);
+            outcomes.batch_sizes.extend(o.batch_sizes);
+            outcomes.sim_latencies.extend(o.sim_latencies);
+        }
+        let offered = accepted + shed + refused_pod_down;
+        report(
+            offered,
+            accepted,
+            shed,
+            refused_pod_down,
+            outcomes,
+            elapsed_s,
+            elapsed_s,
+            self.slo_sim_us,
+        )
     }
-    let offered = accepted + shed + refused_pod_down;
-    report_from(offered, accepted, shed, refused_pod_down, outcomes, elapsed_s, elapsed_s)
 }
 
 #[cfg(test)]
@@ -550,10 +488,16 @@ mod tests {
         Server::start(config, &[Method::Butterfly]).expect("valid")
     }
 
+    fn plan(models: &[&str], arrivals: Arrivals, seed: u64, pool: usize) -> LoadPlan {
+        let models = models.iter().map(|m| m.to_string()).collect();
+        LoadPlan { models, arrivals, seed, pool, slo_sim_us: None }
+    }
+
     #[test]
     fn open_loop_completes_all_accepted() {
         let server = test_server(8);
-        let report = open_loop(&server, "butterfly", 2000.0, 200, 3);
+        let arrivals = Arrivals::Poisson { rate_hz: 2000.0, total: 200 };
+        let report = plan(&["butterfly"], arrivals, 3, 32).run(&server);
         assert_eq!(report.offered, 200);
         assert_eq!(report.accepted + report.shed, 200);
         assert_eq!(report.completed, report.accepted);
@@ -562,9 +506,31 @@ mod tests {
     }
 
     #[test]
+    fn poisson_plan_offers_the_open_loop_schedule() {
+        // The open-loop generator the plan replaced drew its input pool,
+        // then one exponential gap per request from the same ChaCha8 stream.
+        // The plan must offer the same rows at the same offsets, so the
+        // cache and throughput benches still offer byte-identical load.
+        let (rate_hz, seed, dim, pool) = (1e6, 0xBEE5, 16, 8);
+        let arrivals = Arrivals::Poisson { rate_hz, total: 32 };
+        let (inputs, offsets) = plan(&["butterfly"], arrivals, seed, pool).draw(dim);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        assert_eq!(inputs, input_pool(dim, pool, &mut rng));
+        let mut want = Vec::new();
+        let mut at = 0.0;
+        for _ in 0..32 {
+            let u: f64 = rng.gen();
+            at += -(1.0 - u).ln() / rate_hz;
+            want.push(at);
+        }
+        assert_eq!(offsets, want);
+    }
+
+    #[test]
     fn closed_loop_keeps_every_request() {
         let server = test_server(4);
-        let report = closed_loop(&server, "butterfly", 4, 25, 9);
+        let arrivals = Arrivals::Closed { clients: 4, per_client: 25 };
+        let report = plan(&["butterfly"], arrivals, 9, 32).run(&server);
         assert_eq!(report.completed, 100);
         assert!(report.throughput_rps > 0.0);
         server.shutdown();
@@ -583,7 +549,8 @@ mod tests {
             ..Default::default()
         };
         let server = Server::start(config, &[Method::Baseline, Method::Butterfly]).expect("valid");
-        let report = closed_loop_models_with_pool(&server, &["baseline", "butterfly"], 3, 10, 9, 8);
+        let arrivals = Arrivals::Closed { clients: 3, per_client: 10 };
+        let report = plan(&["baseline", "butterfly"], arrivals, 9, 8).run(&server);
         assert_eq!(report.completed, 30);
         let snapshot = server.shutdown();
         for m in &snapshot.models {
@@ -608,7 +575,8 @@ mod tests {
     #[test]
     fn single_input_pool_turns_repeats_into_cache_traffic() {
         let server = test_server(8);
-        let report = open_loop_with_pool(&server, "butterfly", 5000.0, 100, 11, 1);
+        let arrivals = Arrivals::Poisson { rate_hz: 5000.0, total: 100 };
+        let report = plan(&["butterfly"], arrivals, 11, 1).run(&server);
         assert_eq!(report.completed, report.accepted);
         let snapshot = server.shutdown();
         let m = &snapshot.models[0];
@@ -634,7 +602,8 @@ mod tests {
             ..Default::default()
         };
         let server = Server::start(config, &[Method::Butterfly]).expect("valid");
-        let report = closed_loop(&server, "butterfly", 3, 10, 9);
+        let arrivals = Arrivals::Closed { clients: 3, per_client: 10 };
+        let report = plan(&["butterfly"], arrivals, 9, 32).run(&server);
         assert_eq!(report.completed, 30);
         assert_eq!(report.deadline_exceeded, 30);
         assert_eq!(report.pod_down, 0);
@@ -644,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_loop_replays_the_schedule_and_scores_the_sim_slo() {
+    fn trace_plan_replays_the_schedule_and_scores_the_sim_slo() {
         // Cache off so every response is a computation with positive
         // simulated latency; an impossible SLO of 0 µs must then flag every
         // success, and an unbounded one must flag none.
@@ -661,7 +630,8 @@ mod tests {
         };
         let server = Server::start(config, &[Method::Butterfly]).expect("valid");
         let arrivals: Vec<f64> = (0..60).map(|i| i as f64 * 2e-4).collect();
-        let report = trace_loop(&server, "butterfly", &arrivals, 3, 8, Some(0.0));
+        let unscored = plan(&["butterfly"], Arrivals::Trace(arrivals), 3, 8);
+        let report = LoadPlan { slo_sim_us: Some(0.0), ..unscored.clone() }.run(&server);
         assert_eq!(report.offered, 60);
         assert_eq!(report.completed, report.accepted);
         assert_eq!(report.slo_sim_us, 0.0);
@@ -670,21 +640,21 @@ mod tests {
             report.completed - report.deadline_exceeded - report.pod_down,
             "a 0 µs SLO flags every success"
         );
-        let generous = trace_loop(&server, "butterfly", &arrivals, 3, 8, Some(f64::INFINITY));
-        assert_eq!(generous.sim_slo_misses, 0, "an unbounded SLO flags nothing");
-        let unscored = trace_loop(&server, "butterfly", &arrivals, 3, 8, None);
+        let generous = LoadPlan { slo_sim_us: Some(f64::INFINITY), ..unscored.clone() };
+        assert_eq!(generous.run(&server).sim_slo_misses, 0, "an unbounded SLO flags nothing");
+        let unscored = unscored.run(&server);
         assert_eq!((unscored.slo_sim_us, unscored.sim_slo_misses), (0.0, 0));
         server.shutdown();
     }
 
     #[test]
     fn quantile_edges() {
-        assert_eq!(quantile(&[], 0.5), 0);
-        assert_eq!(quantile(&[7], 0.5), 7);
-        assert_eq!(quantile(&[1, 2, 3, 4], 0.5), 2);
-        assert_eq!(quantile(&[1, 2, 3, 4], 1.0), 4);
-        assert_eq!(quantile_f64(&[], 0.99), 0.0);
-        assert_eq!(quantile_f64(&[1.5, 2.5], 0.5), 1.5);
+        assert_eq!(quantile::<u64>(&[], 0.5), 0);
+        assert_eq!(quantile(&[7u64], 0.5), 7);
+        assert_eq!(quantile(&[1u64, 2, 3, 4], 0.5), 2);
+        assert_eq!(quantile(&[1u64, 2, 3, 4], 1.0), 4);
+        assert_eq!(quantile::<f64>(&[], 0.99), 0.0);
+        assert_eq!(quantile(&[1.5, 2.5], 0.5), 1.5);
     }
 
     #[test]
@@ -742,7 +712,8 @@ mod tests {
             ..Default::default()
         };
         let server = Server::start(config, &[Method::Butterfly]).expect("valid");
-        let report = closed_loop(&server, "butterfly", 2, 20, 13);
+        let arrivals = Arrivals::Closed { clients: 2, per_client: 20 };
+        let report = plan(&["butterfly"], arrivals, 13, 32).run(&server);
         assert_eq!(report.completed, 40);
         assert!(report.sim_p50_us > 0.0, "computed batches reserve simulated time");
         assert!(report.sim_p50_us <= report.sim_p95_us);

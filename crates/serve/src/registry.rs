@@ -18,11 +18,11 @@ use bfly_nn::{Layer, Sequential};
 use bfly_tensor::{derived_rng, Matrix, Scratch};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
-/// Default number of registry partitions (see [`ServeConfig::registry_shards`]).
-///
-/// [`ServeConfig::registry_shards`]: crate::ServeConfig::registry_shards
+/// Number of registry partitions: model entries and their admission lanes
+/// hash by name across this many shards.
 pub const DEFAULT_REGISTRY_SHARDS: usize = 8;
 
 /// Predicted device time for one batch of a model's forward trace.
@@ -57,8 +57,7 @@ impl DeviceEstimate {
 }
 
 /// What to register: a named model built from one compression method,
-/// owned by a tenant. The fleet constructor ([`ModelRegistry::build_fleet`])
-/// takes a list of these, so many models can share a method while keeping
+/// owned by a tenant. Many models can share a method while keeping
 /// distinct names, weights (seeded per registration index) and tenants.
 #[derive(Debug, Clone)]
 pub struct ModelSpec {
@@ -84,7 +83,7 @@ impl ModelSpec {
     }
 }
 
-/// A model carrying its *own trained weights* into the fleet — the
+/// A model carrying its *own trained weights* into the registry — the
 /// deployment path of the offline-compression pipeline, where the stack was
 /// fitted against an existing dense model rather than derived from the
 /// fleet seed.
@@ -112,6 +111,73 @@ impl PrebuiltModel {
         Self { name: name.to_string(), method, tenant: "default".to_string(), model }
     }
 }
+
+/// One entry of the list [`ModelRegistry::build`] (and
+/// [`crate::Server::start`]) takes: a seed-derived model or a prebuilt
+/// stack. A `&Method` converts to the spec [`ModelSpec::of_method`]
+/// returns.
+pub enum ModelSource {
+    /// Built from a compression method, weights derived from the registry
+    /// seed and the model's registration index.
+    Seeded(ModelSpec),
+    /// Served with its own weights.
+    Prebuilt(PrebuiltModel),
+}
+
+// Only `&Method` converts: with a by-value impl too, clippy would flag the
+// borrow in the idiomatic `Server::start(config, &[method])` as needless.
+impl From<&Method> for ModelSource {
+    fn from(method: &Method) -> Self {
+        ModelSource::Seeded(ModelSpec::of_method(*method))
+    }
+}
+
+impl From<ModelSpec> for ModelSource {
+    fn from(spec: ModelSpec) -> Self {
+        ModelSource::Seeded(spec)
+    }
+}
+
+impl From<PrebuiltModel> for ModelSource {
+    fn from(model: PrebuiltModel) -> Self {
+        ModelSource::Prebuilt(model)
+    }
+}
+
+/// Why [`ModelRegistry::build`] refused a model list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RegistryError {
+    /// The list held no model.
+    Empty,
+    /// Two models share this name.
+    DuplicateName(String),
+    /// A prebuilt stack's logit count differs from the registry's classes.
+    LogitShape {
+        /// The prebuilt model's name.
+        model: String,
+        /// Logits the stack produces.
+        got: usize,
+        /// Classes the registry serves.
+        want: usize,
+    },
+    /// A seeded method cannot be built at the registry's dimension.
+    Pixelfly(PixelflyError),
+}
+
+impl fmt::Display for RegistryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RegistryError::Empty => f.write_str("registry needs at least one model"),
+            RegistryError::DuplicateName(name) => write!(f, "duplicate model name {name:?}"),
+            RegistryError::LogitShape { model, got, want } => {
+                write!(f, "prebuilt model {model:?} produces {got} logits, registry serves {want}")
+            }
+            RegistryError::Pixelfly(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for RegistryError {}
 
 /// One served model: a frozen (forward-only) SHL network.
 ///
@@ -238,101 +304,53 @@ pub struct ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// Builds a forward-only model per requested method with
-    /// [`DEFAULT_REGISTRY_SHARDS`] partitions. Every model derives its
-    /// weights from `seed` and its method index, so two registries built
-    /// with the same arguments are weight-identical.
+    /// Builds one forward-only entry per model, in the given order, with
+    /// [`DEFAULT_REGISTRY_SHARDS`] partitions.
     ///
-    /// Methods whose construction fails for the given dimension (pixelfly on
-    /// non-conforming shapes) are reported in the error.
+    /// A [`ModelSource::Seeded`] model derives its weights from `seed` and
+    /// its registration index, so two registries built with the same
+    /// arguments are weight-identical. A [`ModelSource::Prebuilt`] stack is
+    /// frozen here and must produce `classes` logits for `dim`-column
+    /// inputs. Names must be unique and the list non-empty.
     pub fn build(
         dim: usize,
         classes: usize,
         seed: u64,
-        methods: &[Method],
-    ) -> Result<Self, PixelflyError> {
-        Self::build_sharded(dim, classes, seed, methods, DEFAULT_REGISTRY_SHARDS)
-    }
-
-    /// [`ModelRegistry::build`] with an explicit shard count.
-    pub fn build_sharded(
-        dim: usize,
-        classes: usize,
-        seed: u64,
-        methods: &[Method],
-        shard_count: usize,
-    ) -> Result<Self, PixelflyError> {
-        let specs: Vec<ModelSpec> = methods.iter().map(|&m| ModelSpec::of_method(m)).collect();
-        Self::build_fleet(dim, classes, seed, &specs, shard_count)
-    }
-
-    /// Builds a fleet of named, tenant-owned models. Each spec's weights
-    /// derive from `seed` and its registration index, so two fleets built
-    /// with the same arguments are weight-identical; names must be unique.
-    pub fn build_fleet(
-        dim: usize,
-        classes: usize,
-        seed: u64,
-        specs: &[ModelSpec],
-        shard_count: usize,
-    ) -> Result<Self, PixelflyError> {
-        Self::build_fleet_mixed(dim, classes, seed, specs, Vec::new(), shard_count)
-    }
-
-    /// [`ModelRegistry::build_fleet`] plus caller-supplied prebuilt stacks:
-    /// seed-derived spec models register first (same weights and indices as
-    /// a spec-only fleet), then each [`PrebuiltModel`] in order. Prebuilt
-    /// stacks are frozen here and validated to produce `classes` logits for
-    /// `dim`-column inputs; names must be unique across both groups.
-    pub fn build_fleet_mixed(
-        dim: usize,
-        classes: usize,
-        seed: u64,
-        specs: &[ModelSpec],
-        prebuilt: Vec<PrebuiltModel>,
-        shard_count: usize,
-    ) -> Result<Self, PixelflyError> {
-        let mut flat = Vec::with_capacity(specs.len() + prebuilt.len());
-        for (i, spec) in specs.iter().enumerate() {
-            assert!(
-                flat.iter().all(|e: &Arc<ModelEntry>| e.name() != spec.name),
-                "duplicate model name {:?} in fleet",
-                spec.name
-            );
-            let mut rng = derived_rng(seed, i as u64);
-            let model = build_shl_inference(spec.method, dim, classes, &mut rng)?;
+        models: impl IntoIterator<Item = impl Into<ModelSource>>,
+    ) -> Result<Self, RegistryError> {
+        let mut flat: Vec<Arc<ModelEntry>> = Vec::new();
+        for (i, source) in models.into_iter().enumerate() {
+            let (name, method, tenant, model, param_count) = match source.into() {
+                ModelSource::Seeded(spec) => {
+                    let mut rng = derived_rng(seed, i as u64);
+                    let model = build_shl_inference(spec.method, dim, classes, &mut rng)
+                        .map_err(RegistryError::Pixelfly)?;
+                    let params = shl_param_count(spec.method, dim, classes);
+                    (spec.name, spec.method, spec.tenant, model, params)
+                }
+                ModelSource::Prebuilt(built) => {
+                    let mut model = built.model;
+                    model.freeze();
+                    let logits =
+                        model.forward_inference(&Matrix::zeros(1, dim), &mut Scratch::new());
+                    if logits.cols() != classes {
+                        return Err(RegistryError::LogitShape {
+                            model: built.name,
+                            got: logits.cols(),
+                            want: classes,
+                        });
+                    }
+                    let params = model.param_count();
+                    (built.name, built.method, built.tenant, model, params)
+                }
+            };
+            if flat.iter().any(|e| e.name == name) {
+                return Err(RegistryError::DuplicateName(name));
+            }
             flat.push(Arc::new(ModelEntry {
-                name: spec.name.clone(),
-                method: spec.method,
-                tenant: spec.tenant.clone(),
-                dim,
-                classes,
-                param_count: shl_param_count(spec.method, dim, classes),
-                model,
-                estimates: RwLock::new(HashMap::new()),
-            }));
-        }
-        for built in prebuilt {
-            assert!(
-                flat.iter().all(|e: &Arc<ModelEntry>| e.name() != built.name),
-                "duplicate model name {:?} in fleet",
-                built.name
-            );
-            let mut model = built.model;
-            model.freeze();
-            let logits = model.forward_inference(&Matrix::zeros(1, dim), &mut Scratch::new());
-            assert_eq!(
-                logits.cols(),
-                classes,
-                "prebuilt model {:?} produces {} logits, fleet serves {classes}",
-                built.name,
-                logits.cols()
-            );
-            let param_count = model.param_count();
-            flat.push(Arc::new(ModelEntry {
-                name: built.name,
-                method: built.method,
-                tenant: built.tenant,
+                name,
+                method,
+                tenant,
                 dim,
                 classes,
                 param_count,
@@ -340,7 +358,10 @@ impl ModelRegistry {
                 estimates: RwLock::new(HashMap::new()),
             }));
         }
-        Ok(Self::assemble(flat, shard_count))
+        if flat.is_empty() {
+            return Err(RegistryError::Empty);
+        }
+        Ok(Self::assemble(flat, DEFAULT_REGISTRY_SHARDS))
     }
 
     /// Partitions registered entries into name-hashed shards.
@@ -403,7 +424,7 @@ impl ModelRegistry {
         self.flat.len()
     }
 
-    /// True when no model is registered.
+    /// Always false: [`ModelRegistry::build`] rejects an empty model list.
     pub fn is_empty(&self) -> bool {
         self.flat.is_empty()
     }
@@ -515,13 +536,15 @@ mod tests {
         let x = Matrix::random_uniform(3, 32, 1.0, &mut rng);
         let want = stack.forward(&x, false);
         let expected_params = stack.param_count();
-        let reg = ModelRegistry::build_fleet_mixed(
+        let seeded = || ModelSpec::named("seeded", Method::Butterfly, "default");
+        let reg = ModelRegistry::build(
             32,
             10,
             7,
-            &[ModelSpec::named("seeded", Method::Butterfly, "default")],
-            vec![PrebuiltModel::new("mine", Method::Baseline, stack)],
-            4,
+            [
+                seeded().into(),
+                ModelSource::from(PrebuiltModel::new("mine", Method::Baseline, stack)),
+            ],
         )
         .expect("valid fleet");
         assert_eq!(reg.len(), 2);
@@ -532,66 +555,69 @@ mod tests {
         let got = entry.forward(&x, &mut scratch);
         assert_eq!(got.as_slice(), want.as_slice(), "prebuilt weights must serve verbatim");
         // Spec-derived entries are unaffected by the prebuilt additions.
-        let spec_only = ModelRegistry::build_fleet(
-            32,
-            10,
-            7,
-            &[ModelSpec::named("seeded", Method::Butterfly, "default")],
-            4,
-        )
-        .expect("valid");
+        let spec_only = ModelRegistry::build(32, 10, 7, [seeded()]).expect("valid");
         let ya = reg.entries()[0].forward(&x, &mut scratch);
         let yb = spec_only.entries()[0].forward(&x, &mut scratch);
         assert_eq!(ya.as_slice(), yb.as_slice());
     }
 
     #[test]
-    #[should_panic(expected = "duplicate model name")]
     fn mixed_fleet_rejects_duplicate_prebuilt_names() {
         use bfly_nn::build_dense_mlp;
         use bfly_tensor::seeded_rng;
         let mut rng = seeded_rng(42);
         let stack = build_dense_mlp(8, &[], 10, &mut rng);
-        let _ = ModelRegistry::build_fleet_mixed(
+        let result = ModelRegistry::build(
             8,
             10,
             1,
-            &[ModelSpec::named("clash", Method::Butterfly, "default")],
-            vec![PrebuiltModel::new("clash", Method::Baseline, stack)],
-            2,
+            [
+                ModelSpec::named("clash", Method::Butterfly, "default").into(),
+                ModelSource::from(PrebuiltModel::new("clash", Method::Baseline, stack)),
+            ],
         );
+        assert_eq!(result.err(), Some(RegistryError::DuplicateName("clash".to_string())));
     }
 
     #[test]
-    #[should_panic(expected = "logits")]
     fn mixed_fleet_rejects_class_mismatch() {
         use bfly_nn::build_dense_mlp;
         use bfly_tensor::seeded_rng;
         let mut rng = seeded_rng(43);
         // 5-logit stack registered into a 10-class fleet.
         let stack = build_dense_mlp(8, &[], 5, &mut rng);
-        let _ = ModelRegistry::build_fleet_mixed(
-            8,
-            10,
-            1,
-            &[],
-            vec![PrebuiltModel::new("wrong", Method::Baseline, stack)],
-            2,
-        );
+        let result =
+            ModelRegistry::build(8, 10, 1, [PrebuiltModel::new("wrong", Method::Baseline, stack)]);
+        let want = RegistryError::LogitShape { model: "wrong".to_string(), got: 5, want: 10 };
+        assert_eq!(result.err(), Some(want));
+    }
+
+    #[test]
+    fn empty_model_list_is_rejected() {
+        let result = ModelRegistry::build(8, 10, 1, Vec::<ModelSpec>::new());
+        assert_eq!(result.err(), Some(RegistryError::Empty));
     }
 
     #[test]
     fn registry_reports_pixelfly_dim_error() {
         let config = bfly_core::PixelflyConfig::paper_default();
         let result = ModelRegistry::build(784, 10, 1, &[Method::Pixelfly(config)]);
-        assert!(result.is_err(), "pixelfly must reject dim=784");
+        assert!(
+            matches!(result.err(), Some(RegistryError::Pixelfly(_))),
+            "pixelfly must reject dim=784"
+        );
+    }
+
+    /// The registry over `methods` re-partitioned into `shard_count` shards.
+    fn sharded(dim: usize, seed: u64, methods: &[Method], shard_count: usize) -> ModelRegistry {
+        let built = ModelRegistry::build(dim, 10, seed, methods).expect("valid");
+        ModelRegistry::assemble(built.flat, shard_count)
     }
 
     #[test]
     fn every_model_resolves_to_exactly_one_shard() {
         for shard_count in [1, 2, 3, 8, 17] {
-            let reg = ModelRegistry::build_sharded(1024, 10, 7, &Method::table4_all(), shard_count)
-                .expect("valid");
+            let reg = sharded(1024, 7, &Method::table4_all(), shard_count);
             assert_eq!(reg.shard_count(), shard_count);
             // Shard membership partitions the registration-order index set.
             let mut seen = vec![0usize; reg.len()];
@@ -618,8 +644,7 @@ mod tests {
         let flat_order: Vec<String> =
             methods.iter().map(|m| m.label().to_ascii_lowercase()).collect();
         for shard_count in [1, 4, 16] {
-            let reg =
-                ModelRegistry::build_sharded(1024, 10, 7, &methods, shard_count).expect("valid");
+            let reg = sharded(1024, 7, &methods, shard_count);
             let names: Vec<String> = reg.entries().iter().map(|e| e.name().to_string()).collect();
             assert_eq!(names, flat_order, "entries() keeps registration order");
             for (i, name) in flat_order.iter().enumerate() {
@@ -631,9 +656,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_across_shards_smoke() {
-        let reg = std::sync::Arc::new(
-            ModelRegistry::build_sharded(256, 10, 3, &Method::table4_all(), 4).expect("valid"),
-        );
+        let reg = std::sync::Arc::new(sharded(256, 3, &Method::table4_all(), 4));
         let names: Vec<String> = reg.entries().iter().map(|e| e.name().to_string()).collect();
         std::thread::scope(|s| {
             for t in 0..8 {

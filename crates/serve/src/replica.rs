@@ -11,10 +11,10 @@
 //! maximum occupancy clock, and throughput in device time scales with how
 //! evenly the router spreads batches.
 //!
-//! Routing is pluggable through [`RoutePolicy`]; the shipped policies are
-//! [`JoinShortestQueue`] (scan every clock, pick the least busy),
-//! [`PowerOfTwoChoices`] (sample two replicas, pick the less busy — the
-//! cheap default), and [`RoundRobin`] (the baseline). Each replica also has
+//! The [`Routing`] policy is one of join-shortest-queue (scan every clock,
+//! pick the least busy), power-of-two-choices (sample two replicas, pick
+//! the less busy — the cheap default), and round-robin (the baseline).
+//! Each replica also has
 //! a bounded queue of outstanding (routed but unsettled) batches: a policy
 //! pick that lands on a full replica falls back to the least-busy replica
 //! with space, and when every healthy queue is full the router blocks until
@@ -73,7 +73,7 @@ use crate::metrics::ReplicaStats;
 use crate::residency::{Charge, ModelProfile, ModelResidency, ResidencyConfig, ResidencyManager};
 use bfly_ipu::PodSpec;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Config-level routing policy selector (see [`crate::ServeConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,12 +98,38 @@ impl Routing {
         }
     }
 
-    /// Instantiates the policy behind the selector.
-    pub fn build(&self) -> Box<dyn RoutePolicy> {
+    /// Picks the position in `occupancy` — the healthy, enrolled
+    /// replicas, never empty — for the next batch. Round-robin and
+    /// power-of-two-choices draw from `cursor`; a single-replica p2c pick
+    /// short-circuits without advancing it.
+    fn choose(self, cursor: &mut u64, occupancy: &[ReplicaOccupancy]) -> usize {
+        let n = occupancy.len();
         match self {
-            Routing::RoundRobin => Box::new(RoundRobin::default()),
-            Routing::PowerOfTwoChoices => Box::new(PowerOfTwoChoices::default()),
-            Routing::JoinShortestQueue => Box::new(JoinShortestQueue),
+            Routing::RoundRobin => {
+                let pick = (*cursor % n as u64) as usize;
+                *cursor = cursor.wrapping_add(1);
+                pick
+            }
+            Routing::PowerOfTwoChoices => {
+                if n == 1 {
+                    return 0;
+                }
+                let r = splitmix64(*cursor);
+                *cursor = cursor.wrapping_add(1);
+                let a = (r % n as u64) as usize;
+                let mut b = ((r >> 32) % n as u64) as usize;
+                if b == a {
+                    b = (a + 1) % n;
+                }
+                if busyness(&occupancy[a]) < busyness(&occupancy[b]) {
+                    a
+                } else {
+                    b
+                }
+            }
+            Routing::JoinShortestQueue => {
+                (0..n).min_by_key(|&i| busyness(&occupancy[i])).unwrap_or(0)
+            }
         }
     }
 }
@@ -121,47 +147,16 @@ impl std::str::FromStr for Routing {
     }
 }
 
-/// One replica's occupancy as seen by a routing policy.
+/// One replica's occupancy as seen by the routing policy.
 #[derive(Debug, Clone, Copy)]
-pub struct ReplicaOccupancy {
+struct ReplicaOccupancy {
     /// Replica index in the pod.
-    pub replica: usize,
+    replica: usize,
     /// Busy-until timestamp in simulated device nanoseconds: the cumulative
     /// device cost committed to this replica at routing time.
-    pub busy_until_ns: u64,
+    busy_until_ns: u64,
     /// Batches routed to this replica and not yet settled by a worker.
-    pub outstanding: usize,
-}
-
-/// A batch-routing policy over the pod's occupancy clocks.
-///
-/// `choose` receives a consistent snapshot of every *healthy* replica (the
-/// slice is never empty; each entry carries its pod-wide index in
-/// `replica`, which may be non-contiguous when some replicas are down) and
-/// returns a position *into the slice*; out-of-range picks are clamped by
-/// the router, and a pick whose queue is full falls back to the least-busy
-/// healthy replica with space.
-pub trait RoutePolicy: Send + Sync {
-    /// Short label used in bench output and JSON.
-    fn name(&self) -> &'static str;
-    /// Picks the position in `occupancy` for the next batch.
-    fn choose(&self, occupancy: &[ReplicaOccupancy]) -> usize;
-}
-
-/// The baseline policy: cycle replicas in index order.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: AtomicU64,
-}
-
-impl RoutePolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
-    fn choose(&self, occupancy: &[ReplicaOccupancy]) -> usize {
-        (self.next.fetch_add(1, Ordering::Relaxed) % occupancy.len() as u64) as usize
-    }
+    outstanding: usize,
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -171,63 +166,10 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Occupancy rank: less committed work first, then fewer outstanding
-/// batches, then the lower index (deterministic tie-break).
-fn less_busy(a: &ReplicaOccupancy, b: &ReplicaOccupancy) -> bool {
-    (a.busy_until_ns, a.outstanding, a.replica) < (b.busy_until_ns, b.outstanding, b.replica)
-}
-
-/// Sample two distinct replicas with a seeded counter hash, route to the
-/// less busy one — the classic load-balancing result that gets within a
-/// constant factor of join-shortest-queue at O(1) inspection cost.
-#[derive(Debug, Default)]
-pub struct PowerOfTwoChoices {
-    state: AtomicU64,
-}
-
-impl RoutePolicy for PowerOfTwoChoices {
-    fn name(&self) -> &'static str {
-        "p2c"
-    }
-
-    fn choose(&self, occupancy: &[ReplicaOccupancy]) -> usize {
-        let n = occupancy.len();
-        if n == 1 {
-            return 0;
-        }
-        let r = splitmix64(self.state.fetch_add(1, Ordering::Relaxed));
-        let a = (r % n as u64) as usize;
-        let mut b = ((r >> 32) % n as u64) as usize;
-        if b == a {
-            b = (a + 1) % n;
-        }
-        if less_busy(&occupancy[a], &occupancy[b]) {
-            a
-        } else {
-            b
-        }
-    }
-}
-
-/// Scan every replica and route to the one with the smallest occupancy
-/// clock: optimal balance, O(replicas) per batch.
-#[derive(Debug, Default)]
-pub struct JoinShortestQueue;
-
-impl RoutePolicy for JoinShortestQueue {
-    fn name(&self) -> &'static str {
-        "jsq"
-    }
-
-    fn choose(&self, occupancy: &[ReplicaOccupancy]) -> usize {
-        let mut best = 0;
-        for (i, o) in occupancy.iter().enumerate().skip(1) {
-            if less_busy(o, &occupancy[best]) {
-                best = i;
-            }
-        }
-        best
-    }
+/// Occupancy rank, least busy first: less committed work, then fewer
+/// outstanding batches, then the lower index (deterministic tie-break).
+fn busyness(o: &ReplicaOccupancy) -> (u64, usize, usize) {
+    (o.busy_until_ns, o.outstanding, o.replica)
 }
 
 /// Per-replica scheduling state, all under the pod's one mutex (routing and
@@ -328,6 +270,8 @@ struct PodState {
     /// The fault schedule, sorted by `at_ns`; `next_event` is the cursor.
     events: Vec<FaultEvent>,
     next_event: usize,
+    /// Draw counter of the round-robin and power-of-two-choices policies.
+    route_cursor: u64,
 }
 
 /// Point-in-time pod statistics: per-replica stats, the simulated makespan
@@ -345,7 +289,7 @@ pub(crate) struct PodStats {
 /// The simulated pod: replica occupancy clocks, weight residency, fault
 /// replay, and the routing policy, shared by every batcher and worker.
 pub(crate) struct Pod {
-    policy: Box<dyn RoutePolicy>,
+    routing: Routing,
     /// Per-replica bound on outstanding batches.
     capacity: usize,
     state: Mutex<PodState>,
@@ -378,7 +322,7 @@ impl Pod {
     pub fn new(
         spec: PodSpec,
         active: usize,
-        policy: Box<dyn RoutePolicy>,
+        routing: Routing,
         capacity: usize,
         profiles: Vec<ModelProfile>,
         tenants: Vec<String>,
@@ -418,9 +362,10 @@ impl Pod {
             clock_ns: 0,
             events,
             next_event: 0,
+            route_cursor: 0,
         };
         Self {
-            policy,
+            routing,
             capacity,
             state: Mutex::new(state),
             freed: Condvar::new(),
@@ -568,13 +513,13 @@ impl Pod {
             if occupancy.is_empty() {
                 return Err(PodDown);
             }
-            let pos = self.policy.choose(&occupancy).min(occupancy.len() - 1);
+            let pos = self.routing.choose(&mut guard.route_cursor, &occupancy);
             let mut pick = occupancy[pos].replica;
             if guard.replicas[pick].outstanding >= self.capacity {
                 let fallback = occupancy
                     .iter()
                     .filter(|o| o.outstanding < self.capacity)
-                    .reduce(|best, o| if less_busy(o, best) { o } else { best });
+                    .min_by_key(|o| busyness(o));
                 match fallback {
                     Some(o) => pick = o.replica,
                     None => {
@@ -667,7 +612,7 @@ impl Pod {
                 busy_until_ns: r.committed_ns,
                 outstanding: r.outstanding,
             })
-            .reduce(|best, o| if less_busy(&o, &best) { o } else { best })?
+            .min_by_key(busyness)?
             .replica;
         let state = &mut *guard;
         let slow = state.replicas[pick].slow_factor;
@@ -848,7 +793,7 @@ mod tests {
         Pod::new(
             PodSpec::with_ipus(replicas),
             replicas,
-            policy.build(),
+            policy,
             capacity,
             profiles(bytes),
             vec!["default".to_string()],
@@ -862,7 +807,7 @@ mod tests {
         Pod::new(
             PodSpec::with_ipus(replicas),
             active,
-            Routing::RoundRobin.build(),
+            Routing::RoundRobin,
             64,
             profiles(bytes),
             vec!["default".to_string()],
@@ -891,32 +836,39 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_every_replica() {
-        let p = RoundRobin::default();
+        let mut cursor = 0;
         let occ = occupancy(&[5, 0, 9, 2]);
-        let picks: Vec<usize> = (0..8).map(|_| p.choose(&occ)).collect();
+        let picks: Vec<usize> =
+            (0..8).map(|_| Routing::RoundRobin.choose(&mut cursor, &occ)).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn jsq_picks_the_least_busy_clock() {
-        let p = JoinShortestQueue;
-        assert_eq!(p.choose(&occupancy(&[50, 10, 30])), 1);
-        assert_eq!(p.choose(&occupancy(&[10, 10, 30])), 0, "ties break to the lower index");
+        let jsq = |occ: &[ReplicaOccupancy]| Routing::JoinShortestQueue.choose(&mut 0, occ);
+        assert_eq!(jsq(&occupancy(&[50, 10, 30])), 1);
+        assert_eq!(jsq(&occupancy(&[10, 10, 30])), 0, "ties break to the lower index");
         let mut occ = occupancy(&[10, 10]);
         occ[0].outstanding = 3;
-        assert_eq!(p.choose(&occ), 1, "equal clocks break on outstanding batches");
+        assert_eq!(jsq(&occ), 1, "equal clocks break on outstanding batches");
     }
 
     #[test]
     fn p2c_always_prefers_the_less_busy_of_its_pair() {
-        let p = PowerOfTwoChoices::default();
+        let mut cursor = 0;
         // One replica is far busier than the rest: p2c must never pick it
         // (whenever it is sampled, its partner is less busy).
         let occ = occupancy(&[1_000_000, 3, 7, 5]);
         for _ in 0..64 {
-            assert_ne!(p.choose(&occ), 0);
+            assert_ne!(Routing::PowerOfTwoChoices.choose(&mut cursor, &occ), 0);
         }
-        assert_eq!(p.choose(&occupancy(&[42])), 0, "single replica short-circuits");
+        assert_eq!(cursor, 64);
+        assert_eq!(
+            Routing::PowerOfTwoChoices.choose(&mut cursor, &occupancy(&[42])),
+            0,
+            "single replica short-circuits"
+        );
+        assert_eq!(cursor, 64, "the short-circuit draws nothing");
     }
 
     #[test]
@@ -1043,7 +995,7 @@ mod tests {
         assert!("nope".parse::<Routing>().is_err());
         assert_eq!(Routing::default(), Routing::PowerOfTwoChoices);
         for r in [Routing::RoundRobin, Routing::PowerOfTwoChoices, Routing::JoinShortestQueue] {
-            assert_eq!(r.build().name(), r.label());
+            assert_eq!(r.label().parse::<Routing>(), Ok(r));
         }
     }
 

@@ -48,13 +48,12 @@ use crate::metrics::{
     ServeSnapshot,
 };
 use crate::payload::Payload;
-use crate::registry::{DeviceEstimate, ModelRegistry, ModelSpec, PrebuiltModel};
-use crate::replica::{Pod, RouteDecision, RoutePolicy, Settle};
+use crate::registry::{DeviceEstimate, ModelRegistry, ModelSource, RegistryError};
+use crate::replica::{Pod, RouteDecision, Settle};
 use crate::request::{
     InferRequest, InferResponse, ResponseHandle, ServedFrom, SubmitError, Timing,
 };
 use crate::residency::ModelProfile;
-use bfly_core::{Method, PixelflyError};
 use bfly_gpu::GpuDevice;
 use bfly_ipu::{IpuDevice, PodSpec};
 use bfly_tensor::{Matrix, Scratch};
@@ -153,83 +152,27 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the sharded registry and starts batcher and worker threads,
-    /// routing batches across the configured pod with `config.routing`.
-    /// Each method registers one model named after its label, owned by the
-    /// `"default"` tenant — use [`Server::start_fleet`] for multi-tenant
-    /// fleets with explicit names.
-    pub fn start(config: ServeConfig, methods: &[Method]) -> Result<Self, PixelflyError> {
-        let specs: Vec<ModelSpec> = methods.iter().map(|&m| ModelSpec::of_method(m)).collect();
-        Self::start_fleet(config, &specs)
-    }
-
-    /// [`Server::start`] with a caller-supplied routing policy (the
-    /// pluggable-policy escape hatch; `config.routing` is ignored).
-    pub fn start_with_policy(
+    /// Builds the sharded registry from `config` and starts batcher and
+    /// worker threads, routing batches across the configured pod with
+    /// `config.routing`.
+    ///
+    /// `models` lists what to serve, in registration order: a [`Method`]
+    /// (borrowed, as in `&[Method::Butterfly]`) registers one model named
+    /// after its label under the `"default"` tenant, a [`ModelSpec`] gives a multi-tenant fleet its
+    /// explicit names and owners (residency quotas group resident bytes by
+    /// tenant — see [`crate::ResidencyConfig`]), and a [`PrebuiltModel`]
+    /// serves an externally trained (e.g. compressed) stack with its exact
+    /// weights over the same pod, residency and routing machinery.
+    ///
+    /// [`Method`]: bfly_core::Method
+    /// [`ModelSpec`]: crate::ModelSpec
+    /// [`PrebuiltModel`]: crate::PrebuiltModel
+    pub fn start(
         config: ServeConfig,
-        methods: &[Method],
-        policy: Box<dyn RoutePolicy>,
-    ) -> Result<Self, PixelflyError> {
-        let specs: Vec<ModelSpec> = methods.iter().map(|&m| ModelSpec::of_method(m)).collect();
-        Self::start_fleet_with_policy(config, &specs, policy)
-    }
-
-    /// Builds a named, multi-tenant fleet: one model per [`ModelSpec`], each
-    /// with its own registry name and owning tenant (residency quotas group
-    /// resident bytes by tenant — see [`crate::ResidencyConfig`]).
-    pub fn start_fleet(config: ServeConfig, specs: &[ModelSpec]) -> Result<Self, PixelflyError> {
-        let policy = config.routing.build();
-        Self::start_fleet_with_policy(config, specs, policy)
-    }
-
-    /// [`Server::start_fleet`] with a caller-supplied routing policy.
-    pub fn start_fleet_with_policy(
-        config: ServeConfig,
-        specs: &[ModelSpec],
-        policy: Box<dyn RoutePolicy>,
-    ) -> Result<Self, PixelflyError> {
-        assert!(!specs.is_empty(), "server needs at least one model");
-        let registry = ModelRegistry::build_fleet(
-            config.dim,
-            config.classes,
-            config.seed,
-            specs,
-            config.registry_shards,
-        )?;
-        Ok(Self::start_with_registry(config, registry, policy))
-    }
-
-    /// [`Server::start_fleet`] plus caller-supplied prebuilt stacks — the
-    /// offline-compression deployment path: a compressed (or otherwise
-    /// externally trained) model keeps its exact weights and is served over
-    /// the same pod, residency and routing machinery as seed-derived fleets.
-    pub fn start_fleet_prebuilt(
-        config: ServeConfig,
-        specs: &[ModelSpec],
-        prebuilt: Vec<PrebuiltModel>,
-    ) -> Result<Self, PixelflyError> {
-        assert!(!specs.is_empty() || !prebuilt.is_empty(), "server needs at least one model");
-        let policy = config.routing.build();
-        let registry = ModelRegistry::build_fleet_mixed(
-            config.dim,
-            config.classes,
-            config.seed,
-            specs,
-            prebuilt,
-            config.registry_shards,
-        )?;
-        Ok(Self::start_with_registry(config, registry, policy))
-    }
-
-    /// Starts the serving runtime over an already-built registry — the
-    /// common tail every constructor funnels through.
-    pub fn start_with_registry(
-        config: ServeConfig,
-        registry: ModelRegistry,
-        policy: Box<dyn RoutePolicy>,
-    ) -> Self {
+        models: impl IntoIterator<Item = impl Into<ModelSource>>,
+    ) -> Result<Self, RegistryError> {
         config.validate();
-        assert!(!registry.is_empty(), "server needs at least one model");
+        let registry = ModelRegistry::build(config.dim, config.classes, config.seed, models)?;
         let metrics: Vec<Arc<ModelMetrics>> =
             registry.entries().iter().map(|_| Arc::new(ModelMetrics::default())).collect();
 
@@ -281,7 +224,7 @@ impl Server {
         let pod = Pod::new(
             PodSpec::with_ipus(pod_size),
             config.replicas,
-            policy,
+            config.routing,
             config.replica_queue,
             profiles,
             tenants,
@@ -345,7 +288,7 @@ impl Server {
                 .expect("spawn autoscaler")
         });
 
-        Self { inner, batchers, workers, autoscaler }
+        Ok(Self { inner, batchers, workers, autoscaler })
     }
 
     /// The server's configuration.
@@ -964,6 +907,7 @@ fn execute_batch(inner: &Inner, batch: Batch, scratch: &mut Scratch) {
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
+    use bfly_core::Method;
     use std::time::Duration;
 
     fn small_config() -> ServeConfig {

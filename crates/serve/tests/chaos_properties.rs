@@ -60,9 +60,8 @@ fn plan_for(seed: u64, replicas: usize, faults: usize) -> FaultPlan {
 /// model (the dense baseline): either model fits alone, both never fit
 /// together, so alternating traffic keeps evicting and paging.
 fn thrashing_budget() -> u64 {
-    let probe =
-        ModelRegistry::build_sharded(DIM, 10, 23, &[Method::Butterfly, Method::Baseline], 4)
-            .expect("probe registry");
+    let probe = ModelRegistry::build(DIM, 10, 23, &[Method::Butterfly, Method::Baseline])
+        .expect("probe registry");
     probe.entries().iter().map(|e| e.weight_bytes()).max().expect("non-empty")
 }
 

@@ -177,8 +177,8 @@ proptest! {
         per_client in 3u64..8,
     ) {
         let routing = routing_from(policy);
-        let probe = ModelRegistry::build_sharded(
-            DIM, 10, 23, &[Method::Butterfly, Method::Baseline], 4).unwrap();
+        let probe = ModelRegistry::build(
+            DIM, 10, 23, &[Method::Butterfly, Method::Baseline]).unwrap();
         // The largest model alone fits; both together never do — so the
         // bounded pod keeps evicting and paging while computing the very
         // same forwards.

@@ -20,7 +20,7 @@
 use bfly_core::{compress_model, Method, ModelCompressConfig};
 use bfly_data::{generate, split, SynthSpec};
 use bfly_nn::{build_dense_mlp, evaluate, fit, Layer, TrainConfig};
-use bfly_serve::{closed_loop_models_with_pool, CacheConfig, PrebuiltModel, ServeConfig, Server};
+use bfly_serve::{Arrivals, CacheConfig, LoadPlan, PrebuiltModel, ServeConfig, Server};
 use bfly_tensor::seeded_rng;
 use std::time::Duration;
 
@@ -102,10 +102,9 @@ fn main() {
         replicas: 4,
         ..Default::default()
     };
-    let server = Server::start_fleet_prebuilt(
+    let server = Server::start(
         config,
-        &[],
-        vec![
+        [
             PrebuiltModel::new("mlp-dense", Method::Baseline, dense),
             PrebuiltModel::new("mlp-butterfly", Method::Butterfly, compressed),
         ],
@@ -117,7 +116,9 @@ fn main() {
         4 * compressed_params / 1024
     );
     for name in ["mlp-dense", "mlp-butterfly"] {
-        let load = closed_loop_models_with_pool(&server, &[name], 8, 40, 57, 64);
+        let models = vec![name.to_string()];
+        let arrivals = Arrivals::Closed { clients: 8, per_client: 40 };
+        let load = LoadPlan { models, arrivals, seed: 57, pool: 64, slo_sim_us: None }.run(&server);
         println!(
             "   {name:<14} {:>7.0} rps, p50 {:>5} us, p99 {:>5} us, mean batch {:.1}",
             load.throughput_rps, load.latency_p50_us, load.latency_p99_us, load.mean_batch

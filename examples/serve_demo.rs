@@ -22,8 +22,8 @@
 use bfly_core::Method;
 use bfly_data::TrafficTrace;
 use bfly_serve::{
-    closed_loop_models_with_pool, trace_loop, AutoscaleConfig, CacheConfig, FaultPlan, Routing,
-    ScaleDecision, ServeConfig, ServedFrom, Server,
+    Arrivals, AutoscaleConfig, CacheConfig, FaultPlan, LoadPlan, Routing, ScaleDecision,
+    ServeConfig, ServedFrom, Server,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -53,13 +53,19 @@ fn flash_crowd_config() -> ServeConfig {
 fn flash_crowd_ramp(method: Method) -> Option<f64> {
     let name = method.label().to_lowercase();
     let probe = Server::start(flash_crowd_config(), &[method]).expect("dim 1024 fits");
-    let capacity =
-        closed_loop_models_with_pool(&probe, &[name.as_str()], 16, 40, 0xBEE5, 64).throughput_rps;
+    let mut plan = LoadPlan {
+        models: vec![name.clone()],
+        arrivals: Arrivals::Closed { clients: 16, per_client: 40 },
+        seed: 0xBEE5,
+        pool: 64,
+        slo_sim_us: None,
+    };
+    let capacity = plan.run(&probe).throughput_rps;
     probe.shutdown();
 
     // Quiet at half capacity, a 0.6 s spike at 3x, then back down.
     let trace = TrafficTrace::flash_crowd(capacity * 0.5, 6.0, 1.5, 0.3, 0.6);
-    let arrivals = trace.arrivals(&mut ChaCha8Rng::seed_from_u64(17));
+    plan.arrivals = Arrivals::Trace(trace.arrivals(&mut ChaCha8Rng::seed_from_u64(17)));
     let config = ServeConfig {
         autoscale: AutoscaleConfig {
             interval: Duration::from_millis(10),
@@ -70,7 +76,7 @@ fn flash_crowd_ramp(method: Method) -> Option<f64> {
         ..flash_crowd_config()
     };
     let server = Server::start(config, &[method]).expect("dim 1024 fits");
-    let report = trace_loop(&server, &name, &arrivals, 0xBEE5, 64, None);
+    let report = plan.run(&server);
     let scale = server.autoscale_report();
     let snapshot = server.shutdown();
     let healthy = scale.events.iter().find(|e| e.decision == ScaleDecision::Grow).map(|e| {
@@ -86,7 +92,7 @@ fn flash_crowd_ramp(method: Method) -> Option<f64> {
     println!(
         "{name:>9}: steady {capacity:>6.0} rps, {} arrivals offered, {} served, \
          {scale_ups} scale-ups, {drains} drains, time-to-healthy {}",
-        arrivals.len(),
+        report.offered,
         report.completed - report.pod_down - report.deadline_exceeded,
         healthy.map_or("- (never grew)".into(), |us| format!("{us:.1} sim us")),
     );
