@@ -147,7 +147,7 @@ pub fn compress_model(
         let dense_params = layer.param_count();
         let record = match layer.dense_view() {
             Some(view) => {
-                let target = Matrix::from_vec(view.out_dim, view.in_dim, view.weight.to_vec());
+                let target = Matrix::from_vec(view.out_dim, view.in_dim, view.weight);
                 let report = compress_matrix(&target, &config.algo, rng)?;
                 let accept = report.operator_error <= config.max_operator_error
                     && report.compression >= config.min_compression;

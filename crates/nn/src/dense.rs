@@ -2,13 +2,20 @@
 
 use crate::layer::{DenseView, Layer};
 use crate::param::Param;
-use bfly_tensor::matmul::{matmul, matmul_a_bt_slice, matmul_at_b};
-use bfly_tensor::{LinOp, Matrix, Scratch};
+use bfly_tensor::matmul::{matmul, matmul_at_b};
+use bfly_tensor::{panel, LinOp, Matrix, Scratch};
 use rand::Rng;
 
 /// `y = x W^T + b` with `W: out x in`, matching `torch.nn.Linear` semantics.
 ///
 /// This is the Table 4 "Baseline" method and the reference point of Fig 6.
+///
+/// The weight `Param` holds `W` in the panel-major order of
+/// [`bfly_tensor::panel`], the layout the forward kernel streams, and in no
+/// other: [`Dense::weight_matrix`] and [`Layer::dense_view`] unpack it, and
+/// [`Dense::set_weight`] and [`Dense::from_parts`] pack. Its gradient and
+/// momentum share that order; the optimizer's updates are element-wise, so
+/// the order changes no value.
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
@@ -20,10 +27,16 @@ pub struct Dense {
 impl Dense {
     /// Creates a dense layer with Kaiming-uniform initialisation
     /// (`U(-1/sqrt(in), 1/sqrt(in))`, the `torch.nn.Linear` default).
+    ///
+    /// The weight is drawn in row-major order straight into its panels, so
+    /// the RNG stream matches a row-major draw and no second buffer exists.
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         let scale = 1.0 / (in_dim as f32).sqrt();
-        let weight: Vec<f32> =
-            (0..out_dim * in_dim).map(|_| rng.gen_range(-scale..=scale)).collect();
+        let weight = panel::pack(
+            out_dim,
+            in_dim,
+            (0..out_dim * in_dim).map(|_| rng.gen_range(-scale..=scale)),
+        );
         let bias: Vec<f32> = (0..out_dim).map(|_| rng.gen_range(-scale..=scale)).collect();
         Self {
             in_dim,
@@ -44,16 +57,16 @@ impl Dense {
         self.out_dim
     }
 
-    /// View of the weight as an `out x in` matrix.
+    /// The weight as a row-major `out x in` matrix.
     pub fn weight_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.out_dim, self.in_dim, self.weight.value.clone())
+        Matrix::from_vec(self.out_dim, self.in_dim, self.row_major_weight())
     }
 
     /// Overwrites the weight matrix (used to initialise structured-layer
     /// comparisons from a shared dense starting point).
     pub fn set_weight(&mut self, w: &Matrix) {
         assert_eq!(w.shape(), (self.out_dim, self.in_dim), "weight shape mismatch");
-        self.weight.value.copy_from_slice(w.as_slice());
+        self.weight.value = panel::pack(self.out_dim, self.in_dim, w.as_slice().iter().copied());
     }
 
     /// Builds a dense layer from an existing `out × in` weight matrix and
@@ -65,29 +78,25 @@ impl Dense {
     pub fn from_parts(weight: Matrix, bias: Vec<f32>) -> Self {
         let (out_dim, in_dim) = weight.shape();
         assert_eq!(bias.len(), out_dim, "bias length must match weight rows");
+        let weight = panel::pack(out_dim, in_dim, weight.into_vec());
         Self {
             in_dim,
             out_dim,
-            weight: Param::new("dense.weight", weight.into_vec()),
+            weight: Param::new("dense.weight", weight),
             bias: Param::new("dense.bias", bias),
             cached_input: None,
         }
     }
-}
 
-impl Dense {
-    /// Shared affine kernel: `y = x W^T + b` borrowing the weight slice
-    /// directly, so neither forward path clones the weight matrix.
+    fn row_major_weight(&self) -> Vec<f32> {
+        panel::unpack(self.out_dim, self.in_dim, &self.weight.value)
+    }
+
+    /// Shared affine kernel of both forward paths: `y = x W^T + b` straight
+    /// from the panel-major weight.
     fn affine(&self, input: &Matrix) -> Matrix {
         assert_eq!(input.cols(), self.in_dim, "Dense input dim mismatch");
-        // y = x W^T  (batch rows kept contiguous)
-        let mut y = matmul_a_bt_slice(input, &self.weight.value, self.out_dim);
-        for r in 0..y.rows() {
-            for (v, b) in y.row_mut(r).iter_mut().zip(&self.bias.value) {
-                *v += b;
-            }
-        }
-        y
+        panel::affine(input, &self.weight.value, &self.bias.value)
     }
 }
 
@@ -110,9 +119,10 @@ impl Layer for Dense {
             .take()
             .expect("Dense::backward called without a training-mode forward");
         assert_eq!(grad_output.cols(), self.out_dim, "Dense grad dim mismatch");
-        // dW = dY^T X ; db = column-sum(dY) ; dX = dY W
+        // dW = dY^T X ; db = column-sum(dY) ; dX = dY W, with row-major
+        // temporaries: dW is packed into the weight's order to accumulate.
         let dw = matmul_at_b(grad_output, &input);
-        self.weight.accumulate_grad(dw.as_slice());
+        self.weight.accumulate_grad(&panel::pack(self.out_dim, self.in_dim, dw.into_vec()));
         let mut db = vec![0.0f32; self.out_dim];
         for r in 0..grad_output.rows() {
             for (d, g) in db.iter_mut().zip(grad_output.row(r)) {
@@ -120,8 +130,7 @@ impl Layer for Dense {
             }
         }
         self.bias.accumulate_grad(&db);
-        let w = Matrix::from_vec(self.out_dim, self.in_dim, self.weight.value.clone());
-        matmul(grad_output, &w)
+        matmul(grad_output, &self.weight_matrix())
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -146,7 +155,7 @@ impl Layer for Dense {
         Some(DenseView {
             in_dim: self.in_dim,
             out_dim: self.out_dim,
-            weight: &self.weight.value,
+            weight: self.row_major_weight(),
             bias: &self.bias.value,
         })
     }
@@ -181,12 +190,54 @@ mod tests {
     fn forward_matches_manual_affine() {
         let mut rng = seeded_rng(12);
         let mut layer = Dense::new(3, 2, &mut rng);
-        layer.weight.value = vec![1.0, 0.0, -1.0, 0.5, 0.5, 0.5];
+        layer.set_weight(&Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[0.5, 0.5, 0.5]]));
         layer.bias.value = vec![10.0, -10.0];
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
         let y = layer.forward(&x, false);
         assert!((y[(0, 0)] - (1.0 - 3.0 + 10.0)).abs() < 1e-6);
         assert!((y[(0, 1)] - (3.0 - 10.0)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn new_draws_the_row_major_stream() {
+        // The weight is drawn straight into panel order; unpacked, it must be
+        // the row-major draw every seeded model and Table 4 rests on, and
+        // the bias must follow it in the stream.
+        for &out in &[1, 3, 10, 16, 17, 33] {
+            for (in_dim, seed) in [(7, 1), (20, 2)] {
+                let layer = Dense::new(in_dim, out, &mut seeded_rng(seed));
+                let mut rng = seeded_rng(seed);
+                let scale = 1.0 / (in_dim as f32).sqrt();
+                let mut draw = |n: usize| -> Vec<f32> {
+                    (0..n).map(|_| rng.gen_range(-scale..=scale)).collect()
+                };
+                let weight = draw(out * in_dim);
+                assert_eq!(layer.weight_matrix().as_slice(), weight.as_slice(), "out {out}");
+                assert_eq!(layer.bias.value, draw(out), "out {out}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_parts_and_set_weight_round_trip_the_weight() {
+        let mut rng = seeded_rng(17);
+        let w = Matrix::random_uniform(19, 6, 1.0, &mut rng);
+        let layer = Dense::from_parts(w.clone(), vec![0.5; 19]);
+        assert_eq!(layer.weight_matrix().as_slice(), w.as_slice());
+
+        let mut layer = Dense::new(6, 19, &mut rng);
+        layer.set_weight(&w);
+        let view = layer.dense_view().expect("dense layers expose a view");
+        assert_eq!(view.weight, w.as_slice());
+        assert_eq!((view.out_dim, view.in_dim), (19, 6));
+    }
+
+    #[test]
+    fn sizes_are_unchanged_when_out_is_not_a_panel_multiple() {
+        let mut rng = seeded_rng(18);
+        let mut layer = Dense::new(5, 17, &mut rng);
+        assert_eq!(layer.param_count(), 17 * 5 + 17);
+        assert_eq!(layer.train_state_bytes(), 2 * (17 * 5 + 17) * 4);
     }
 
     #[test]

@@ -15,8 +15,9 @@ pub struct DenseView<'a> {
     pub in_dim: usize,
     /// Output dimensionality.
     pub out_dim: usize,
-    /// Row-major `out_dim × in_dim` weight.
-    pub weight: &'a [f32],
+    /// Row-major `out_dim × in_dim` weight, a copy unpacked from whatever
+    /// layout the layer stores it in.
+    pub weight: Vec<f32>,
     /// `out_dim` bias.
     pub bias: &'a [f32],
 }

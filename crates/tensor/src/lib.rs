@@ -2,8 +2,10 @@
 //!
 //! Dense and sparse linear algebra kernels for the butterfly-factorization
 //! workspace: row-major [`Matrix`], CSR/COO sparse formats, three tiers of
-//! matmul kernel (naive / blocked / rayon-parallel), a radix-2 FFT, the fast
-//! Walsh-Hadamard transform, permutations, and deterministic RNG plumbing.
+//! matmul kernel (naive / blocked / row-wise axpy; the offline `rayon` shim
+//! runs them all on one thread), the panel-major `Dense` weight layout and
+//! its SIMD forward kernel, a radix-2 FFT, the fast Walsh-Hadamard
+//! transform, permutations, and deterministic RNG plumbing.
 //!
 //! Everything is `f32` (matching the FP32 configurations benchmarked in the
 //! paper) with `f64` accumulators only where numerical-stability tests need
@@ -17,6 +19,7 @@ pub mod fwht;
 pub mod matmul;
 pub mod matrix;
 pub mod ops;
+pub mod panel;
 pub mod perm;
 pub mod rng;
 pub mod scratch;

@@ -2,9 +2,13 @@
 //!
 //! Three variants mirror the implementation tiers the paper benchmarks on
 //! both devices (Table 2): a `naive` triple loop, a cache-`blocked` kernel,
-//! and a rayon-`parallel` kernel that splits the output by row blocks (this is
-//! the default used throughout the workspace). All kernels compute
-//! `C = A * B` with `A: m x k`, `B: k x n`.
+//! and the default [`matmul`], an `i-k-j` axpy loop over output rows written
+//! against the `rayon` API. The offline `rayon` shim runs it sequentially,
+//! so on this workspace's builds no kernel here is multi-threaded. All
+//! kernels compute `C = A * B` with `A: m x k`, `B: k x n`.
+//!
+//! The `Dense` layer's forward does not use these: it runs the panel-major
+//! kernel of [`crate::panel`].
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
@@ -16,7 +20,8 @@ pub enum MatmulKind {
     Naive,
     /// Cache-blocked `i-k-j` loop ("GPU shmem" / "IPU blocked" tier).
     Blocked,
-    /// Rayon row-parallel blocked kernel ("cublas" / "poplin" tier).
+    /// The default [`matmul`] ("cublas" / "poplin" tier): a row-wise axpy
+    /// loop, parallel over rows only with a real `rayon`.
     Parallel,
 }
 
@@ -32,7 +37,9 @@ pub fn matmul_with(kind: MatmulKind, a: &Matrix, b: &Matrix) -> Matrix {
     }
 }
 
-/// Default high-performance multiply: rayon-parallel, register-blocked.
+/// Default multiply: for each output row, one axpy per `A` element over a
+/// row of `B`, which the compiler vectorizes. Rows are split with
+/// `par_chunks_mut`, which the offline `rayon` shim runs sequentially.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.cols(),
@@ -48,8 +55,8 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         return c;
     }
 
-    // Parallelise over output rows; each task reads all of B. The inner loop
-    // is k-major so B rows are streamed sequentially (good hardware prefetch)
+    // One task per output row; each task reads all of B. The inner loop is
+    // k-major so B rows are streamed sequentially (good hardware prefetch)
     // and the compiler can vectorise the `axpy` over the output row.
     let b_data = b.as_slice();
     c.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(i, c_row)| {
@@ -164,10 +171,12 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
 /// `C = A * B^T` with `B` given as a row-major slice of `b_rows` rows of
 /// width `A.cols()`.
 ///
-/// This is the borrow-the-weights variant used by the lock-free inference
-/// path: layers that keep their weights in a flat `Param` value can multiply
-/// against them directly instead of cloning into a `Matrix` first. The inner
-/// dot loop is identical to [`matmul_a_bt`], so results are bit-identical.
+/// Layers that keep a row-major weight in a flat `Param` value (the
+/// low-rank baseline's factors) multiply against it directly instead of
+/// cloning it into a `Matrix` first. Every output is one sequential dot
+/// product, identical to [`matmul_a_bt`], so results are bit-identical.
+/// `Dense` does not use it: its weight is panel-major and its forward is
+/// [`crate::panel::affine`], which computes the same bits.
 ///
 /// # Panics
 /// Panics if `b.len() != b_rows * a.cols()`.

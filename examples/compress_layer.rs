@@ -14,10 +14,11 @@
 //! retrofitted.
 
 use bfly_core::{
-    build_shl, fit_butterfly, fit_butterfly_hierarchical, FitConfig, HierarchicalConfig, Method,
+    build_shl, fit_butterfly, fit_butterfly_hierarchical, ButterflyLayer, FitConfig,
+    HierarchicalConfig, Method,
 };
 use bfly_data::{generate, split, SynthSpec};
-use bfly_nn::{evaluate, fit, Layer, TrainConfig};
+use bfly_nn::{evaluate, fit, Dense, Layer, Relu, Sequential, TrainConfig};
 use bfly_tensor::{seeded_rng, Matrix};
 
 fn main() {
@@ -47,15 +48,17 @@ fn main() {
         report.test_accuracy * 100.0
     );
 
-    // 2. Extract the trained weights (hidden W is param 0; the classifier
-    //    weight/bias are the last two params of the Sequential).
+    // 2. Extract the trained weights through the affine-layer view (row-major,
+    //    whatever order the layers store them in): the hidden layer is the
+    //    first layer of the Sequential, the classifier the last.
     let (hidden_weight, cls_w, cls_b) = {
-        let ps = dense_model.params();
-        let n = ps.len();
+        let layers = dense_model.layers();
+        let hidden = layers[0].dense_view().expect("the baseline hidden layer is dense");
+        let classifier = layers[layers.len() - 1].dense_view().expect("the classifier is dense");
         (
-            Matrix::from_vec(dim, dim, ps[0].value.clone()),
-            ps[n - 2].value.clone(),
-            ps[n - 1].value.clone(),
+            Matrix::from_vec(dim, dim, hidden.weight),
+            Matrix::from_vec(classes, dim, classifier.weight),
+            classifier.bias.to_vec(),
         )
     };
 
@@ -83,20 +86,17 @@ fn main() {
     // 4. Build a butterfly SHL initialised from the projection + the trained
     //    classifier; measure accuracy before and after fine-tuning.
     println!("3) swapping the butterfly in and fine-tuning...");
-    let mut compressed =
-        build_shl(Method::Butterfly, dim, classes, &mut seeded_rng(46)).expect("valid");
-    {
-        let flat: Vec<Vec<f32>> =
-            projection.butterfly.factors.iter().map(|f| f.twiddles.clone()).collect();
-        let mut ps = compressed.params();
-        for (s_idx, values) in flat.iter().enumerate() {
-            ps[s_idx].value.copy_from_slice(values);
-            ps[s_idx].mark_dirty();
-        }
-        let np = ps.len();
-        ps[np - 2].value.copy_from_slice(&cls_w);
-        ps[np - 1].value.copy_from_slice(&cls_b);
+    // The hidden layer draws its init from the same stream `build_shl` would
+    // give it; its factors are then overwritten with the projection's.
+    let mut hidden = ButterflyLayer::new(dim, dim, &mut seeded_rng(46));
+    for (param, factor) in hidden.params().into_iter().zip(&projection.butterfly.factors) {
+        param.value.copy_from_slice(&factor.twiddles);
+        param.mark_dirty();
     }
+    let mut compressed = Sequential::new()
+        .push(Box::new(hidden))
+        .push(Box::new(Relu::new()))
+        .push(Box::new(Dense::from_parts(cls_w, cls_b)));
     let before = evaluate(&mut compressed, &s.test);
     println!("   accuracy after projection, before fine-tune: {:.2}%", before * 100.0);
     let ft_config = TrainConfig { epochs: 10, seed: 47, ..TrainConfig::default() };
