@@ -1,7 +1,7 @@
 //! Wall-clock Criterion benchmarks of the butterfly kernels themselves:
 //! the O(n log n) butterfly apply versus the O(n^2) dense product it
-//! replaces, plus the pixelfly block-sparse product and a full training
-//! step of the butterfly layer.
+//! replaces, plus the pixelfly block-sparse product and full training
+//! steps of the butterfly and pixelfly layers.
 
 use bfly_bench::legacy::{legacy_backward, legacy_forward, LegacyButterfly};
 use bfly_core::{
@@ -62,6 +62,38 @@ fn bench_butterfly_train_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// The paper-default pixelfly layer (block 32, butterfly size 8, rank 128)
+/// at n = 1024: the training forward alone, forward + backward at the
+/// Table 3 batch of 50, and the serving forward at batch 1 and 32.
+fn bench_pixelfly_train_step(c: &mut Criterion) {
+    use bfly_core::{PixelflyConfig, PixelflyLayer};
+    use bfly_nn::Layer;
+    let mut group = c.benchmark_group("pixelfly_train_step");
+    let n = 1024usize;
+    let mut rng = seeded_rng(5);
+    let mut layer = PixelflyLayer::new(n, n, PixelflyConfig::paper_default(), &mut rng)
+        .expect("paper-default pixelfly is valid at n = 1024");
+    let x = Matrix::random_uniform(50, n, 1.0, &mut rng);
+    group.bench_with_input(BenchmarkId::new("forward_train", n), &n, |b, _| {
+        b.iter(|| layer.forward(&x, true))
+    });
+    group.bench_with_input(BenchmarkId::new("fwd_bwd", n), &n, |b, _| {
+        b.iter(|| {
+            let y = layer.forward(&x, true);
+            layer.zero_grad();
+            layer.backward(&y)
+        })
+    });
+    let mut scratch = Scratch::new();
+    for batch in [1usize, 32] {
+        let x = Matrix::random_uniform(batch, n, 1.0, &mut rng);
+        group.bench_with_input(BenchmarkId::new("forward_inference", batch), &batch, |b, _| {
+            b.iter(|| layer.forward_inference(&x, &mut scratch))
+        });
+    }
+    group.finish();
+}
+
 /// The fused stage-major kernels against the pre-fusion reference path
 /// (`bfly_bench::legacy`) on identical inputs: training forward with stage
 /// caching, and the backward pass. `bench_kernels` (the binary) covers the
@@ -110,6 +142,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_butterfly_vs_dense, bench_block_sparse, bench_butterfly_train_step,
-        bench_fused_vs_legacy
+        bench_pixelfly_train_step, bench_fused_vs_legacy
 }
 criterion_main!(benches);

@@ -1,4 +1,5 @@
-//! Fused SIMD block-sparse kernels — the pixelfly serving hot path.
+//! Fused SIMD block-sparse kernels — the pixelfly serving and training hot
+//! path.
 //!
 //! Pixelfly's forward is `y = W x + U (V x) + bias` with `W` block-sparse
 //! (paper §2.3.2). The naive path walks the flat sorted `(block-row,
@@ -14,20 +15,31 @@
 //!   the coordinate list on the hot path. Because the coordinate list is
 //!   sorted lexicographically, the payloads are *already* in CSR order — the
 //!   view is built once with no payload movement.
-//! - **One rayon pass over row blocks**: each batch row computes its sparse
-//!   product, low-rank correction and bias while it stays cache-resident;
-//!   the only allocation is the returned output matrix (working buffers come
-//!   from a caller-owned [`Scratch`]).
-//! - **Lane-parallel microkernels** for `b ∈ {4, 8, 16, 32}` with a generic
-//!   fallback, behind runtime AVX2/AVX-512 dispatch. The specialized kernels
-//!   vectorize *across the block's output rows*: payloads are repacked
+//! - **One pass over row blocks**: each block of [`ROW_BLOCK`] batch rows
+//!   computes its sparse product, then its low-rank correction, then its
+//!   bias while it stays cache-resident; the only allocation is the
+//!   returned output matrix (working buffers come from a caller-owned
+//!   [`Scratch`]). The pass is written as a `rayon` chunk loop, but the
+//!   vendored `rayon` shim runs it on the calling thread: every kernel here
+//!   is single-threaded.
+//! - **Lane-parallel microkernels** for the sparse forward, `b ∈ {4, 8, 16,
+//!   32}` with a generic fallback, behind runtime AVX2/AVX-512 dispatch.
+//!   They vectorize *across the block's output rows*: payloads are repacked
 //!   column-major once per call, and each lane `r` accumulates
 //!   `acc[r] += w[r][c] * x[c]` in ascending-`c` order — the exact FLOP
 //!   sequence of the scalar dot, so results are **bit-identical** to
 //!   [`BlockSparseMatrix::matmul_batch`](crate::BlockSparseMatrix::matmul_batch)
 //!   whichever branch runs.
+//! - **Register tiles** for everything else: the low-rank term of the
+//!   forward, its four products in the backward (`dVx = dY U`,
+//!   `dX += dVx V`, `dU += dYᵀ Vx`, `dV += dVxᵀ X`), the sparse term of
+//!   `dX` and the payload gradient. Each loop has one scalar body — the
+//!   per-row code, which is also the non-x86 fallback and the tests'
+//!   oracle — and one explicit eight-lane AVX2 body (see [`avx2`]) that
+//!   loads each factor or weight row once for several batch rows and
+//!   reproduces the scalar body's bits.
 //!
-//! The low-rank term uses a fixed eight-lane dot ([`DOT_LANES`]) with an
+//! The low-rank forward uses a fixed eight-lane dot ([`DOT_LANES`]) with an
 //! explicit reduction tree; its operation order is part of the kernel's
 //! contract (identical on every ISA), which is what keeps the layer's
 //! training forward, eval forward and `forward_inference` bit-identical to
@@ -36,7 +48,7 @@
 use bfly_tensor::{Matrix, Scratch};
 use rayon::prelude::*;
 
-/// Rows per unit of parallel work (same granularity as the butterfly
+/// Batch rows per unit of work (same granularity as the butterfly
 /// kernels).
 const ROW_BLOCK: usize = 32;
 
@@ -67,8 +79,8 @@ pub struct BlockCsr {
     cols: usize,
     /// `block_rows + 1` prefix offsets into `cols`.
     row_ptr: Vec<u32>,
-    /// Block-row per stored block (CSR order) — the payload-parallel
-    /// backward needs the inverse of `row_ptr` per entry.
+    /// Block-row per stored block (CSR order) — the per-block payload
+    /// gradient needs the inverse of `row_ptr` per entry.
     block_row: Vec<u32>,
     /// Block-column per stored block (CSR order).
     block_col: Vec<u32>,
@@ -183,82 +195,8 @@ pub fn repack_blocks_colmajor(block: usize, data: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// Routes the per-row-block worker to the widest vector ISA the host
-/// supports. The wide variants recompile the *same* generic body with wider
-/// vector units (see [`wide`]); operation order is unchanged and Rust never
-/// contracts `a * b + c` into an FMA, so every branch is bit-identical.
-macro_rules! dispatch_wide {
-    ($avx512:ident, $avx2:ident, $generic:ident, $($arg:expr),+) => {{
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the runtime check above guarantees avx512f.
-                return unsafe { wide::$avx512($($arg),+) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the runtime check above guarantees avx2.
-                return unsafe { wide::$avx2($($arg),+) };
-            }
-        }
-        $generic($($arg),+)
-    }};
-}
-
-/// Wide-vector re-instantiations of the row-block workers for x86-64 —
-/// same trick as the butterfly stage kernels: `#[target_feature]` recompiles
-/// the `#[inline(always)]` generic body with 256-/512-bit vectors enabled,
-/// selection happens at run time, results are bit-identical.
-#[cfg(target_arch = "x86_64")]
-mod wide {
-    use super::{BlockCsr, LowRankRef};
-
-    macro_rules! wide_pair {
-        ($avx512:ident, $avx2:ident, $generic:ident, ($($arg:ident: $ty:ty),+)) => {
-            #[target_feature(enable = "avx512f")]
-            #[allow(clippy::too_many_arguments)]
-            pub(super) fn $avx512($($arg: $ty),+) {
-                super::$generic($($arg),+)
-            }
-            #[target_feature(enable = "avx2")]
-            #[allow(clippy::too_many_arguments)]
-            pub(super) fn $avx2($($arg: $ty),+) {
-                super::$generic($($arg),+)
-            }
-        };
-    }
-
-    wide_pair!(
-        forward_avx512,
-        forward_avx2,
-        forward_rows_impl,
-        (
-            csr: &BlockCsr,
-            w: &[f32],
-            colmajor: bool,
-            lowrank: Option<LowRankRef<'_>>,
-            bias: Option<&[f32]>,
-            iblock: &[f32],
-            oblock: &mut [f32],
-            vxblock: &mut [f32]
-        )
-    );
-    wide_pair!(
-        backward_avx512,
-        backward_avx2,
-        backward_rows_impl,
-        (
-            csr: &BlockCsr,
-            w: &[f32],
-            lowrank: Option<LowRankRef<'_>>,
-            gblock: &[f32],
-            dvxblock: &mut [f32],
-            gxblock: &mut [f32]
-        )
-    );
-}
-
-/// Fused batched forward `Y = X W^T [+ (X V^T) U^T] [+ bias]` in one
-/// parallel pass over row blocks.
+/// Fused batched forward `Y = X W^T [+ (X V^T) U^T] [+ bias]` in one pass
+/// over row blocks.
 ///
 /// `payload` is the row-major-per-block CSR-order payload array (exactly
 /// [`BlockSparseMatrix::data`](crate::BlockSparseMatrix::data)). With no
@@ -341,14 +279,14 @@ fn forward_inner(
                 .chunks_mut(ROW_BLOCK * out_dim)
                 .zip(input.as_slice().chunks(ROW_BLOCK * in_dim))
                 .for_each(|(oblock, iblock)| {
-                    forward_rows(csr, w, colmajor, None, bias, iblock, oblock, &mut []);
+                    forward_block(csr, w, colmajor, None, bias, iblock, oblock, &mut []);
                 });
         } else {
             out.as_mut_slice()
                 .par_chunks_mut(ROW_BLOCK * out_dim)
                 .zip(input.as_slice().par_chunks(ROW_BLOCK * in_dim))
                 .for_each(|(oblock, iblock)| {
-                    forward_rows(csr, w, colmajor, None, bias, iblock, oblock, &mut []);
+                    forward_block(csr, w, colmajor, None, bias, iblock, oblock, &mut []);
                 });
         }
         scratch.put(wt);
@@ -361,7 +299,7 @@ fn forward_inner(
             .zip(input.as_slice().chunks(ROW_BLOCK * in_dim))
             .zip(vx.chunks_mut(ROW_BLOCK * rank))
             .for_each(|((oblock, iblock), vxblock)| {
-                forward_rows(csr, w, colmajor, lowrank, bias, iblock, oblock, vxblock);
+                forward_block(csr, w, colmajor, lowrank, bias, iblock, oblock, vxblock);
             });
     } else {
         out.as_mut_slice()
@@ -369,7 +307,7 @@ fn forward_inner(
             .zip(input.as_slice().par_chunks(ROW_BLOCK * in_dim))
             .zip(vx.par_chunks_mut(ROW_BLOCK * rank))
             .for_each(|((oblock, iblock), vxblock)| {
-                forward_rows(csr, w, colmajor, lowrank, bias, iblock, oblock, vxblock);
+                forward_block(csr, w, colmajor, lowrank, bias, iblock, oblock, vxblock);
             });
     }
     scratch.put(wt);
@@ -381,9 +319,11 @@ fn forward_inner(
     }
 }
 
-#[inline]
+/// One row block of the forward: the sparse term of every row, then the
+/// low-rank term `Vx = X Vᵀ`, `Y += Vx Uᵀ`, then the bias. Each element
+/// still sees sparse → low-rank → bias, the order of a per-row loop.
 #[allow(clippy::too_many_arguments)]
-fn forward_rows(
+fn forward_block(
     csr: &BlockCsr,
     w: &[f32],
     colmajor: bool,
@@ -393,51 +333,74 @@ fn forward_rows(
     oblock: &mut [f32],
     vxblock: &mut [f32],
 ) {
-    dispatch_wide!(
-        forward_avx512,
-        forward_avx2,
-        forward_rows_impl,
-        csr,
-        w,
-        colmajor,
-        lowrank,
-        bias,
-        iblock,
-        oblock,
-        vxblock
-    )
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn forward_rows_impl(
-    csr: &BlockCsr,
-    w: &[f32],
-    colmajor: bool,
-    lowrank: Option<LowRankRef<'_>>,
-    bias: Option<&[f32]>,
-    iblock: &[f32],
-    oblock: &mut [f32],
-    vxblock: &mut [f32],
-) {
-    let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
-    let rank = lowrank.map_or(0, |lr| lr.rank);
-    for (r, (orow, irow)) in oblock.chunks_mut(out_dim).zip(iblock.chunks(in_dim)).enumerate() {
-        sparse_row(csr, w, colmajor, irow, orow);
-        if let Some(lr) = lowrank {
-            let vxrow = &mut vxblock[r * rank..(r + 1) * rank];
-            for (j, vx_j) in vxrow.iter_mut().enumerate() {
-                *vx_j = dot_lanes(&lr.v[j * in_dim..(j + 1) * in_dim], irow);
-            }
-            for (i, o) in orow.iter_mut().enumerate() {
-                *o += dot_lanes(&lr.u[i * rank..(i + 1) * rank], vxrow);
-            }
-        }
-        if let Some(bs) = bias {
+    sparse_rows(csr, w, colmajor, iblock, oblock);
+    if let Some(lr) = lowrank {
+        lowrank_dots(iblock, lr.v, csr.in_dim(), vxblock, false);
+        lowrank_dots(vxblock, lr.u, lr.rank, oblock, true);
+    }
+    if let Some(bs) = bias {
+        for orow in oblock.chunks_exact_mut(csr.out_dim()) {
             for (o, bv) in orow.iter_mut().zip(bs) {
                 *o += bv;
             }
         }
+    }
+}
+
+/// Routes the sparse term of a row block to the widest vector ISA the host
+/// supports. The wide variants recompile the *same* generic body with wider
+/// vector units (see [`wide`]); operation order is unchanged and Rust never
+/// contracts `a * b + c` into an FMA, so every branch is bit-identical.
+fn sparse_rows(csr: &BlockCsr, w: &[f32], colmajor: bool, iblock: &[f32], oblock: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the runtime check above guarantees avx512f.
+            return unsafe { wide::sparse_rows_avx512(csr, w, colmajor, iblock, oblock) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the runtime check above guarantees avx2.
+            return unsafe { wide::sparse_rows_avx2(csr, w, colmajor, iblock, oblock) };
+        }
+    }
+    sparse_rows_impl(csr, w, colmajor, iblock, oblock)
+}
+
+/// Wide-vector re-instantiations of [`sparse_rows_impl`] for x86-64 — same
+/// trick as the butterfly stage kernels: `#[target_feature]` recompiles the
+/// `#[inline(always)]` generic body with 256-/512-bit vectors enabled, so
+/// the lane microkernels' accumulator rows fill wider registers.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use super::BlockCsr;
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn sparse_rows_avx512(
+        csr: &BlockCsr,
+        w: &[f32],
+        colmajor: bool,
+        iblock: &[f32],
+        oblock: &mut [f32],
+    ) {
+        super::sparse_rows_impl(csr, w, colmajor, iblock, oblock)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn sparse_rows_avx2(
+        csr: &BlockCsr,
+        w: &[f32],
+        colmajor: bool,
+        iblock: &[f32],
+        oblock: &mut [f32],
+    ) {
+        super::sparse_rows_impl(csr, w, colmajor, iblock, oblock)
+    }
+}
+
+#[inline(always)]
+fn sparse_rows_impl(csr: &BlockCsr, w: &[f32], colmajor: bool, iblock: &[f32], oblock: &mut [f32]) {
+    for (orow, irow) in oblock.chunks_mut(csr.out_dim()).zip(iblock.chunks(csr.in_dim())) {
+        sparse_row(csr, w, colmajor, irow, orow);
     }
 }
 
@@ -509,9 +472,8 @@ fn sparse_row_generic(csr: &BlockCsr, w: &[f32], x: &[f32], y: &mut [f32]) {
 }
 
 /// Fixed-shape dot product: eight lane accumulators, a fixed reduction tree,
-/// then the scalar tail. The operation order is explicit and identical on
-/// every ISA (the wide recompiles only change vector width, not the
-/// arithmetic), so results are deterministic across dispatch branches.
+/// then the scalar tail. The operation order is explicit, so the scalar and
+/// the SIMD bodies of [`lowrank_dots`] produce the same bits.
 #[inline(always)]
 fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -530,16 +492,116 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
+/// `c[s][j] = dot_lanes(b[j], a[s])` — or `+=` when `add` — for every `k`
+/// wide row `s` of `a` and row `j` of `b`, into the row-major `c`. The
+/// forward's low-rank term: `Vx = X Vᵀ`, then `Y += Vx Uᵀ`.
+fn lowrank_dots(a: &[f32], b: &[f32], k: usize, c: &mut [f32], add: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the runtime check above guarantees avx2.
+        return unsafe { avx2::dots(a, b, k, c, add) };
+    }
+    dots_scalar(a, b, k, c, add)
+}
+
+/// `(m, n)`: the rows of `a` and of `b` in a [`lowrank_dots`] call.
+///
+/// # Panics
+/// Panics unless `a` and `b` are whole, non-empty `k`-wide rows and `c` is
+/// `m × n`.
+fn dots_shape(a: &[f32], b: &[f32], k: usize, c: &[f32]) -> (usize, usize) {
+    assert!(k > 0 && !b.is_empty(), "low-rank dot operands must be non-empty");
+    assert_eq!(a.len() % k, 0, "low-rank dot: left operand is not k wide");
+    assert_eq!(b.len() % k, 0, "low-rank dot: right operand is not k wide");
+    let (m, n) = (a.len() / k, b.len() / k);
+    assert_eq!(c.len(), m * n, "low-rank dot: output is not m × n");
+    (m, n)
+}
+
+/// The scalar body of [`lowrank_dots`]: one [`dot_lanes`] per output.
+fn dots_scalar(a: &[f32], b: &[f32], k: usize, c: &mut [f32], add: bool) {
+    let (_, n) = dots_shape(a, b, k, c);
+    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        for (o, brow) in crow.iter_mut().zip(b.chunks_exact(k)) {
+            let d = dot_lanes(brow, arow);
+            *o = if add { *o + d } else { d };
+        }
+    }
+}
+
+/// The left operand of [`lowrank_axpy`]: `A(i, kk)` is `a[i·k + kk]` of
+/// the row-major `m × k` matrix, or `a[kk·m + i]` when `transposed` (the
+/// row-major `k × m` matrix read as its transpose).
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    a: &'a [f32],
+    m: usize,
+    k: usize,
+    transposed: bool,
+}
+
+impl Lhs<'_> {
+    #[inline(always)]
+    fn at(&self, i: usize, kk: usize) -> f32 {
+        if self.transposed {
+            self.a[kk * self.m + i]
+        } else {
+            self.a[i * self.k + kk]
+        }
+    }
+}
+
+/// `C += op(A)·B`: for each row `i` of the row-major `m × n` `c` and each
+/// `kk` in ascending order, `c[i][..] += A(i, kk) * b[kk][..]`, with `A`
+/// read from `a` as [`Lhs`] describes and `b` row-major `k × n`. Every
+/// low-rank product of the backward: `dVx = dY U`, `dX += dVx V`,
+/// `dU += dYᵀ Vx` and `dV += dVxᵀ X`.
+fn lowrank_axpy(a: &[f32], transposed: bool, b: &[f32], n: usize, c: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the runtime check above guarantees avx2.
+        return unsafe { avx2::axpy(a, transposed, b, n, c) };
+    }
+    axpy_scalar(a, transposed, b, n, c)
+}
+
+/// The [`Lhs`] of a [`lowrank_axpy`] call.
+///
+/// # Panics
+/// Panics unless `b` and `c` are whole `n`-wide rows and `a` holds `m × k`
+/// values.
+fn axpy_lhs<'a>(a: &'a [f32], transposed: bool, b: &[f32], n: usize, c: &[f32]) -> Lhs<'a> {
+    assert!(n > 0, "low-rank axpy: rows must be non-empty");
+    assert_eq!(b.len() % n, 0, "low-rank axpy: right operand is not n wide");
+    assert_eq!(c.len() % n, 0, "low-rank axpy: output is not n wide");
+    let (m, k) = (c.len() / n, b.len() / n);
+    assert_eq!(a.len(), m * k, "low-rank axpy: left operand is not m × k");
+    Lhs { a, m, k, transposed }
+}
+
+/// The scalar body of [`lowrank_axpy`]: one row axpy per `(i, kk)`.
+fn axpy_scalar(a: &[f32], transposed: bool, b: &[f32], n: usize, c: &mut [f32]) {
+    let lhs = axpy_lhs(a, transposed, b, n, c);
+    for (i, crow) in c.chunks_exact_mut(n).enumerate() {
+        for (kk, brow) in b.chunks_exact(n).enumerate() {
+            let av = lhs.at(i, kk);
+            for (d, bv) in crow.iter_mut().zip(brow) {
+                *d += av * bv;
+            }
+        }
+    }
+}
+
 /// Fused backward for [`fused_block_forward_train`]: accumulates the payload
 /// and low-rank factor gradients into `grads` and returns dL/d input.
 ///
 /// `vx` is the cached `batch x rank` intermediate returned by the training
 /// forward (required iff `lowrank` is `Some`). The bias gradient is the
-/// caller's — a column sum independent of this kernel. Three parallel
-/// passes, each deterministic: rows for `dVx` + `dX` (per-sample,
-/// independent), stored blocks for the payload gradient (each block's
-/// accumulator sums samples in ascending order), and factor rows for
-/// `dU` / `dV`.
+/// caller's — a column sum independent of this kernel. Three passes, each
+/// deterministic and run on the calling thread: row blocks for `dVx` + `dX`
+/// (per-sample, independent), stored blocks for the payload gradient (each
+/// accumulator sums samples in ascending order), and the factor gradients
+/// `dU` / `dV` (samples ascending).
 #[allow(clippy::too_many_arguments)]
 pub fn fused_block_backward(
     csr: &BlockCsr,
@@ -551,7 +613,6 @@ pub fn fused_block_backward(
     grads: BlockGrads<'_>,
     scratch: &mut Scratch,
 ) -> Matrix {
-    let b = csr.block;
     let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
     let batch = input.rows();
     assert_eq!(grad_out.rows(), batch, "grad batch mismatch");
@@ -566,8 +627,8 @@ pub fn fused_block_backward(
         assert_eq!(grads.v.len(), lr.v.len(), "V gradient length mismatch");
     }
 
-    // Pass 1 — per sample row: dVx = dY U, then dX = dY-through-blocks +
-    // dVx V.
+    // Pass 1 — per row block: dX = dY-through-blocks, then dVx = dY U and
+    // dX += dVx V.
     let mut grad_in = Matrix::zeros(batch, in_dim);
     let mut dvx = scratch.take(batch * rank);
     if batch > 0 {
@@ -579,68 +640,36 @@ pub fn fused_block_backward(
                 .par_chunks_mut(ROW_BLOCK * in_dim)
                 .zip(grad_out.as_slice().par_chunks(ROW_BLOCK * out_dim))
                 .for_each(|(gxblock, gblock)| {
-                    backward_rows(csr, payload, lowrank, gblock, &mut [], gxblock);
+                    backward_block(csr, payload, None, gblock, &mut [], gxblock);
                 });
         } else {
-            let dvx_chunk = ROW_BLOCK * rank;
             grad_in
                 .as_mut_slice()
                 .par_chunks_mut(ROW_BLOCK * in_dim)
                 .zip(grad_out.as_slice().par_chunks(ROW_BLOCK * out_dim))
-                .zip(dvx.par_chunks_mut(dvx_chunk))
+                .zip(dvx.par_chunks_mut(ROW_BLOCK * rank))
                 .for_each(|((gxblock, gblock), dvxblock)| {
-                    backward_rows(csr, payload, lowrank, gblock, dvxblock, gxblock);
+                    backward_block(csr, payload, lowrank, gblock, dvxblock, gxblock);
                 });
         }
     }
 
     // Pass 2 — per stored block: dW[r][c] += Σ_s dY[s][r] * X[s][c],
     // samples in ascending order per accumulator.
-    let bb = b * b;
-    grads.payload.par_chunks_mut(bb).enumerate().for_each(|(idx, gp)| {
-        let bi = csr.block_row[idx] as usize;
-        let bj = csr.block_col[idx] as usize;
-        for s in 0..batch {
-            let gys = &grad_out.row(s)[bi * b..(bi + 1) * b];
-            let xs = &input.row(s)[bj * b..(bj + 1) * b];
-            for (g, gprow) in gys.iter().zip(gp.chunks_exact_mut(b)) {
-                if *g == 0.0 {
-                    continue;
-                }
-                for (d, xv) in gprow.iter_mut().zip(xs) {
-                    *d += g * xv;
-                }
-            }
-        }
-    });
+    payload_grad(csr, input.as_slice(), grad_out.as_slice(), grads.payload);
 
-    // Pass 3 — low-rank factor gradients, one parallel sweep per factor.
+    // Pass 3 — low-rank factor gradients: dU += dYᵀ Vx, dV += dVxᵀ X.
     if let Some(lr) = lowrank {
         let vx = vx.expect("checked above");
-        grads.u.par_chunks_mut(lr.rank).enumerate().for_each(|(i, gu)| {
-            for s in 0..batch {
-                let g = grad_out.row(s)[i];
-                for (d, vv) in gu.iter_mut().zip(vx.row(s)) {
-                    *d += g * vv;
-                }
-            }
-        });
-        let dvx_ref: &[f32] = &dvx;
-        grads.v.par_chunks_mut(in_dim).enumerate().for_each(|(j, gv)| {
-            for s in 0..batch {
-                let d = dvx_ref[s * rank + j];
-                for (dst, xv) in gv.iter_mut().zip(input.row(s)) {
-                    *dst += d * xv;
-                }
-            }
-        });
+        lowrank_axpy(grad_out.as_slice(), true, vx.as_slice(), lr.rank, grads.u);
+        lowrank_axpy(&dvx, true, input.as_slice(), in_dim, grads.v);
     }
     scratch.put(dvx);
     grad_in
 }
 
-#[inline]
-fn backward_rows(
+/// One row block of backward pass 1.
+fn backward_block(
     csr: &BlockCsr,
     w: &[f32],
     lowrank: Option<LowRankRef<'_>>,
@@ -648,34 +677,52 @@ fn backward_rows(
     dvxblock: &mut [f32],
     gxblock: &mut [f32],
 ) {
-    dispatch_wide!(
-        backward_avx512,
-        backward_avx2,
-        backward_rows_impl,
-        csr,
-        w,
-        lowrank,
-        gblock,
-        dvxblock,
-        gxblock
-    )
+    sparse_dx(csr, w, gblock, gxblock);
+    if let Some(lr) = lowrank {
+        dvxblock.fill(0.0);
+        lowrank_axpy(gblock, false, lr.u, lr.rank, dvxblock);
+        lowrank_axpy(dvxblock, false, lr.v, csr.in_dim(), gxblock);
+    }
 }
 
-#[inline(always)]
-fn backward_rows_impl(
-    csr: &BlockCsr,
-    w: &[f32],
-    lowrank: Option<LowRankRef<'_>>,
-    gblock: &[f32],
-    dvxblock: &mut [f32],
-    gxblock: &mut [f32],
-) {
+/// Whether the sparse backward has an eight-lane body for this block size:
+/// whole `__m256` rows, up to the paper's 32.
+fn lane_block(block: usize) -> bool {
+    matches!(block, 8 | 16 | 32)
+}
+
+/// `(out_dim, in_dim)` of the sparse backward kernels, after checking
+/// their operands.
+///
+/// # Panics
+/// Panics unless `w` is the whole payload, `gy` whole `out_dim` rows and
+/// `x` the same number of `in_dim` rows.
+fn sparse_shape(csr: &BlockCsr, w: &[f32], gy: &[f32], x: &[f32]) -> (usize, usize) {
+    let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
+    assert_eq!(w.len(), csr.nnz_blocks() * csr.block * csr.block, "payload length mismatch");
+    assert_eq!(gy.len() % out_dim, 0, "grad is not out_dim wide");
+    assert_eq!(x.len(), gy.len() / out_dim * in_dim, "input rows do not match grad rows");
+    (out_dim, in_dim)
+}
+
+/// The sparse term of dX for a row block: `dX[bj·b + c] += dY[bi·b + r] ·
+/// W[r][c]` per stored block, skipping `dY == ±0`.
+fn sparse_dx(csr: &BlockCsr, w: &[f32], gblock: &[f32], gxblock: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if lane_block(csr.block) && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the runtime check above guarantees avx2.
+        return unsafe { avx2::sparse_dx(csr, w, gblock, gxblock) };
+    }
+    sparse_dx_scalar(csr, w, gblock, gxblock)
+}
+
+/// The scalar body of [`sparse_dx`]: per row, per stored block, one row
+/// axpy per non-zero `dY`.
+fn sparse_dx_scalar(csr: &BlockCsr, w: &[f32], gblock: &[f32], gxblock: &mut [f32]) {
+    let (out_dim, in_dim) = sparse_shape(csr, w, gblock, gxblock);
     let b = csr.block;
     let bb = b * b;
-    let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
-    let rank = lowrank.map_or(0, |lr| lr.rank);
-    for (r, (gxrow, grow)) in gxblock.chunks_mut(in_dim).zip(gblock.chunks(out_dim)).enumerate() {
-        // Sparse term: dX[bj*b + c] += Σ_r dY[bi*b + r] * W[r][c].
+    for (gxrow, grow) in gxblock.chunks_exact_mut(in_dim).zip(gblock.chunks_exact(out_dim)) {
         for bi in 0..csr.row_ptr.len() - 1 {
             let gys = &grow[bi * b..(bi + 1) * b];
             for idx in csr.row_ptr[bi] as usize..csr.row_ptr[bi + 1] as usize {
@@ -692,18 +739,451 @@ fn backward_rows_impl(
                 }
             }
         }
-        if let Some(lr) = lowrank {
-            // dVx = dY U, then dX += dVx V.
-            let dvxrow = &mut dvxblock[r * rank..(r + 1) * rank];
-            dvxrow.fill(0.0);
-            for (g, urow) in grow.iter().zip(lr.u.chunks_exact(lr.rank)) {
-                for (d, uv) in dvxrow.iter_mut().zip(urow) {
-                    *d += g * uv;
+    }
+}
+
+/// The payload gradient `dW[r][c] += Σ_s dY[s][bi·b + r] · X[s][bj·b + c]`
+/// per stored block, samples ascending, skipping `dY == ±0`.
+fn payload_grad(csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if lane_block(csr.block) && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the runtime check above guarantees avx2.
+        return unsafe { avx2::payload_grad(csr, x, gy, gp) };
+    }
+    payload_grad_scalar(csr, x, gy, gp)
+}
+
+/// The scalar body of [`payload_grad`]: per stored block, per sample, one
+/// row axpy per non-zero `dY`.
+fn payload_grad_scalar(csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]) {
+    let (out_dim, in_dim) = sparse_shape(csr, gp, gy, x);
+    let b = csr.block;
+    let batch = gy.len() / out_dim;
+    for (idx, gp) in gp.chunks_exact_mut(b * b).enumerate() {
+        let bi = csr.block_row[idx] as usize;
+        let bj = csr.block_col[idx] as usize;
+        for s in 0..batch {
+            let gys = &gy[s * out_dim + bi * b..][..b];
+            let xs = &x[s * in_dim + bj * b..][..b];
+            for (g, gprow) in gys.iter().zip(gp.chunks_exact_mut(b)) {
+                if *g == 0.0 {
+                    continue;
+                }
+                for (d, xv) in gprow.iter_mut().zip(xs) {
+                    *d += g * xv;
                 }
             }
-            for (d, vrow) in dvxrow.iter().zip(lr.v.chunks_exact(in_dim)) {
-                for (dst, vv) in gxrow.iter_mut().zip(vrow) {
-                    *dst += d * vv;
+        }
+    }
+}
+
+/// Explicit eight-lane AVX2 bodies of the low-rank and sparse-backward
+/// kernels.
+///
+/// Each lane of a `__m256` accumulator is one accumulator of the scalar
+/// body: the same products, added in the same order, starting from the
+/// same value. `_mm256_mul_ps` then `_mm256_add_ps` rounds twice, like the
+/// scalar `a * b + c` (Rust never contracts it into an FMA), so every
+/// output equals the scalar body's bit for bit. The lanes are written out
+/// because the autovectorizer does not find them: const-generic scalar
+/// tiles recompiled under `#[target_feature]` came out with batch rows
+/// shuffled into `xmm` registers, no faster than the per-row loops.
+///
+/// The only `unsafe` is at the load and store intrinsics, each fed from a
+/// bounds-checked sub-slice; every entry point checks its operand shapes.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{axpy_lhs, dots_shape, sparse_shape, BlockCsr, Lhs};
+    use std::arch::x86_64::*;
+    use std::array::from_fn;
+    use std::slice::ChunksExact;
+
+    /// Batch rows per tile of the low-rank kernels.
+    const MR: usize = 4;
+
+    /// Eight `f32`s from the front of `s`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(s: &[f32]) -> __m256 {
+        let s = &s[..8];
+        // SAFETY: `s` is eight in-bounds `f32`s; the load is unaligned.
+        unsafe { _mm256_loadu_ps(s.as_ptr()) }
+    }
+
+    /// Writes `v` to the front eight `f32`s of `d`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn store(d: &mut [f32], v: __m256) {
+        let d = &mut d[..8];
+        // SAFETY: `d` is eight in-bounds, exclusively borrowed `f32`s; the
+        // store is unaligned.
+        unsafe { _mm256_storeu_ps(d.as_mut_ptr(), v) }
+    }
+
+    /// `acc + a * b`, rounded after the multiply and after the add.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mul_add(acc: __m256, a: __m256, b: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+    }
+
+    /// `acc + g * x` where `g` is non-zero, `acc` itself where `g` is
+    /// `±0.0`: the product is replaced by `-0.0`, and `acc + (-0.0)` is
+    /// `acc` bit for bit, `±0.0` included (only a signalling NaN would come
+    /// back quiet, and no arithmetic produces one). Masking the product
+    /// keeps the select off the accumulator's dependency chain, which a
+    /// `blendv` of the accumulator puts three uops on. `keep` and `skip`
+    /// are [`splat_nonzero`]'s.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mul_add_kept(acc: __m256, g: __m256, x: __m256, keep: __m256, skip: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_or_ps(_mm256_and_ps(_mm256_mul_ps(g, x), keep), skip))
+    }
+
+    /// `g` broadcast, the lanes to keep (all set unless `g` is `±0.0`; the
+    /// unordered `_CMP_NEQ_UQ` keeps NaN, as the scalar `g == 0.0` does),
+    /// and the `-0.0` that replaces a skipped product.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn splat_nonzero(g: f32) -> (__m256, __m256, __m256) {
+        let g = _mm256_set1_ps(g);
+        let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(g, _mm256_setzero_ps());
+        (g, keep, _mm256_andnot_ps(keep, _mm256_set1_ps(-0.0)))
+    }
+
+    /// [`super::dot_lanes`]'s reduction `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`
+    /// of four accumulators at once: two rounds of pairwise `hadd` build
+    /// each half's tree, one add joins the halves.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn reduce4(v: [__m256; 4]) -> [f32; 4] {
+        let q = _mm256_hadd_ps(_mm256_hadd_ps(v[0], v[1]), _mm256_hadd_ps(v[2], v[3]));
+        let s = _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps::<1>(q));
+        let mut out = [0.0f32; 4];
+        // SAFETY: `out` is four writable `f32`s; the store is unaligned.
+        unsafe { _mm_storeu_ps(out.as_mut_ptr(), s) };
+        out
+    }
+
+    /// The SIMD body of [`super::lowrank_dots`]: [`MR`] rows of `a` by two
+    /// rows of `b` per tile, then one row of `a` by four rows of `b`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn dots(a: &[f32], b: &[f32], k: usize, c: &mut [f32], add: bool) {
+        let (_, n) = dots_shape(a, b, k, c);
+        let mut a4 = a.chunks_exact(MR * k);
+        let mut c4 = c.chunks_exact_mut(MR * n);
+        for (a, c) in a4.by_ref().zip(c4.by_ref()) {
+            dot_rows::<MR, 2>(a, b, k, c, add);
+        }
+        for (a, c) in a4.remainder().chunks_exact(k).zip(c4.into_remainder().chunks_exact_mut(n)) {
+            dot_rows::<1, 4>(a, b, k, c, add);
+        }
+    }
+
+    /// The `R` rows of `a` against every row of `b`: `C` rows of `b` per
+    /// tile, then the rows left over one at a time.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn dot_rows<const R: usize, const C: usize>(
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        c: &mut [f32],
+        add: bool,
+    ) {
+        let n = b.len() / k;
+        let mut arows: [&[f32]; R] = [&[]; R];
+        for (r, row) in arows.iter_mut().enumerate() {
+            *row = &a[r * k..(r + 1) * k];
+        }
+        let mut j0 = 0;
+        while j0 + C <= n {
+            let mut brows: [&[f32]; C] = [&[]; C];
+            for (q, row) in brows.iter_mut().enumerate() {
+                *row = &b[(j0 + q) * k..(j0 + q + 1) * k];
+            }
+            put(c, n, j0, &dot_tile(arows, brows), add);
+            j0 += C;
+        }
+        while j0 < n {
+            put(c, n, j0, &dot_tile::<R, 1>(arows, [&b[j0 * k..(j0 + 1) * k]]), add);
+            j0 += 1;
+        }
+    }
+
+    /// Writes (or adds) an `R × C` tile of dots at column `j0` of the
+    /// `n`-wide `c`.
+    #[inline(always)]
+    fn put<const R: usize, const C: usize>(
+        c: &mut [f32],
+        n: usize,
+        j0: usize,
+        d: &[[f32; C]; R],
+        add: bool,
+    ) {
+        for (r, dr) in d.iter().enumerate() {
+            for (o, v) in c[r * n + j0..][..C].iter_mut().zip(dr) {
+                *o = if add { *o + v } else { *v };
+            }
+        }
+    }
+
+    /// `dot_lanes(b[j], a[r])` for `R` rows of `a` and `C` rows of `b`, all
+    /// the same width: one accumulator per output, each chunk of a `b` row
+    /// loaded once for all `R` rows.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn dot_tile<const R: usize, const C: usize>(a: [&[f32]; R], b: [&[f32]; C]) -> [[f32; C]; R] {
+        let k = a[0].len();
+        let chunks = k / 8;
+        let body = 8 * chunks;
+        // Every row cut to the vector body, so that the compiler can drop
+        // most of the loads' bounds checks.
+        let mut a8: [&[f32]; R] = [&[]; R];
+        for (d, s) in a8.iter_mut().zip(&a) {
+            *d = &s[..body];
+        }
+        let mut b8: [&[f32]; C] = [&[]; C];
+        for (d, s) in b8.iter_mut().zip(&b) {
+            *d = &s[..body];
+        }
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        for q in 0..chunks {
+            let t = 8 * q;
+            let mut bv = [_mm256_setzero_ps(); C];
+            for (v, brow) in bv.iter_mut().zip(&b8) {
+                *v = load(&brow[t..t + 8]);
+            }
+            for (accr, arow) in acc.iter_mut().zip(&a8) {
+                let av = load(&arow[t..t + 8]);
+                for (x, bv) in accr.iter_mut().zip(&bv) {
+                    *x = mul_add(*x, *bv, av);
+                }
+            }
+        }
+        let mut out = [[0.0f32; C]; R];
+        for (sums, group) in out.as_flattened_mut().chunks_mut(4).zip(acc.as_flattened().chunks(4))
+        {
+            let last = group.len() - 1;
+            let four = [group[0], group[1.min(last)], group[2.min(last)], group[3.min(last)]];
+            sums.copy_from_slice(&reduce4(four)[..group.len()]);
+        }
+        // The scalar tail of every dot, after the reduction.
+        for (outr, arow) in out.iter_mut().zip(&a) {
+            for (o, brow) in outr.iter_mut().zip(&b) {
+                for (bv, av) in brow[body..].iter().zip(&arow[body..]) {
+                    *o += bv * av;
+                }
+            }
+        }
+        out
+    }
+
+    /// The SIMD body of [`super::lowrank_axpy`]: [`MR`] rows of `c` by 16
+    /// columns per tile, then 8, then single columns; the rows left over
+    /// one at a time.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn axpy(a: &[f32], transposed: bool, b: &[f32], n: usize, c: &mut [f32]) {
+        let lhs = axpy_lhs(a, transposed, b, n, c);
+        let brows = b.chunks_exact(n);
+        let mut c4 = c.chunks_exact_mut(MR * n);
+        let mut i0 = 0;
+        for c in c4.by_ref() {
+            axpy_rows::<MR>(lhs, i0, &brows, n, c);
+            i0 += MR;
+        }
+        for c in c4.into_remainder().chunks_exact_mut(n) {
+            axpy_rows::<1>(lhs, i0, &brows, n, c);
+            i0 += 1;
+        }
+    }
+
+    /// Rows `i0..i0 + R` of `C += op(A)·B`, held in `c`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn axpy_rows<const R: usize>(
+        lhs: Lhs<'_>,
+        i0: usize,
+        brows: &ChunksExact<'_, f32>,
+        n: usize,
+        c: &mut [f32],
+    ) {
+        let mut j0 = 0;
+        while j0 + 16 <= n {
+            axpy_tile::<R, 2>(lhs, i0, brows.clone(), n, j0, c);
+            j0 += 16;
+        }
+        if j0 + 8 <= n {
+            axpy_tile::<R, 1>(lhs, i0, brows.clone(), n, j0, c);
+            j0 += 8;
+        }
+        for j in j0..n {
+            for r in 0..R {
+                for (kk, brow) in brows.clone().enumerate() {
+                    c[r * n + j] += lhs.at(i0 + r, kk) * brow[j];
+                }
+            }
+        }
+    }
+
+    /// `R` rows by `8·V` columns of `C += op(A)·B` from column `j0`: the
+    /// tile is loaded once, every `kk` adds into it in ascending order, and
+    /// it is stored once.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn axpy_tile<const R: usize, const V: usize>(
+        lhs: Lhs<'_>,
+        i0: usize,
+        brows: ChunksExact<'_, f32>,
+        n: usize,
+        j0: usize,
+        c: &mut [f32],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            for (v, x) in accr.iter_mut().enumerate() {
+                *x = load(&c[r * n + j0 + 8 * v..]);
+            }
+        }
+        for (kk, brow) in brows.enumerate() {
+            let brow = &brow[j0..j0 + 8 * V];
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(lhs.at(i0 + r, kk));
+                for (v, x) in accr.iter_mut().enumerate() {
+                    *x = mul_add(*x, av, load(&brow[8 * v..]));
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            for (v, x) in accr.iter().enumerate() {
+                store(&mut c[r * n + j0 + 8 * v..], *x);
+            }
+        }
+    }
+
+    /// The SIMD body of [`super::sparse_dx`] for block sizes 8, 16 and 32.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn sparse_dx(csr: &BlockCsr, w: &[f32], gblock: &[f32], gxblock: &mut [f32]) {
+        match csr.block {
+            8 => sparse_dx_v::<1>(csr, w, gblock, gxblock),
+            16 => sparse_dx_v::<2>(csr, w, gblock, gxblock),
+            32 => sparse_dx_v::<4>(csr, w, gblock, gxblock),
+            b => panic!("no eight-lane sparse dX body for block size {b}"),
+        }
+    }
+
+    /// Two batch rows per tile, then the row left over.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn sparse_dx_v<const V: usize>(csr: &BlockCsr, w: &[f32], gblock: &[f32], gxblock: &mut [f32]) {
+        let (out_dim, in_dim) = sparse_shape(csr, w, gblock, gxblock);
+        let mut gx2 = gxblock.chunks_exact_mut(2 * in_dim);
+        let mut g2 = gblock.chunks_exact(2 * out_dim);
+        for (gx, g) in gx2.by_ref().zip(g2.by_ref()) {
+            sparse_dx_rows::<2, V>(csr, w, g, gx);
+        }
+        let rest =
+            gx2.into_remainder().chunks_exact_mut(in_dim).zip(g2.remainder().chunks(out_dim));
+        for (gx, g) in rest {
+            sparse_dx_rows::<1, V>(csr, w, g, gx);
+        }
+    }
+
+    /// `R` batch rows of the sparse dX, `b = 8·V`: per stored block the
+    /// `R × b` slice of dX is loaded once, each payload row once for all
+    /// `R` rows, in the scalar body's block and row order.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn sparse_dx_rows<const R: usize, const V: usize>(
+        csr: &BlockCsr,
+        w: &[f32],
+        g: &[f32],
+        gx: &mut [f32],
+    ) {
+        let b = 8 * V;
+        let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
+        for bi in 0..csr.row_ptr.len() - 1 {
+            let gys: [&[f32]; R] = from_fn(|r| &g[r * out_dim + bi * b..][..b]);
+            for idx in csr.row_ptr[bi] as usize..csr.row_ptr[bi + 1] as usize {
+                let col = csr.block_col[idx] as usize * b;
+                let blk = &w[idx * b * b..(idx + 1) * b * b];
+                let mut acc = [[_mm256_setzero_ps(); V]; R];
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    for (v, x) in accr.iter_mut().enumerate() {
+                        *x = load(&gx[r * in_dim + col + 8 * v..]);
+                    }
+                }
+                for (row, wrow) in blk.chunks_exact(b).enumerate() {
+                    let mut wv = [_mm256_setzero_ps(); V];
+                    for (v, x) in wv.iter_mut().enumerate() {
+                        *x = load(&wrow[8 * v..]);
+                    }
+                    for (accr, gy) in acc.iter_mut().zip(&gys) {
+                        let (gv, keep, skip) = splat_nonzero(gy[row]);
+                        for (x, wv) in accr.iter_mut().zip(&wv) {
+                            *x = mul_add_kept(*x, gv, *wv, keep, skip);
+                        }
+                    }
+                }
+                for (r, accr) in acc.iter().enumerate() {
+                    for (v, x) in accr.iter().enumerate() {
+                        store(&mut gx[r * in_dim + col + 8 * v..], *x);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The SIMD body of [`super::payload_grad`] for block sizes 8, 16 and
+    /// 32.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn payload_grad(csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]) {
+        match csr.block {
+            8 => payload_grad_v::<1>(csr, x, gy, gp),
+            16 => payload_grad_v::<2>(csr, x, gy, gp),
+            32 => payload_grad_v::<4>(csr, x, gy, gp),
+            b => panic!("no eight-lane payload-gradient body for block size {b}"),
+        }
+    }
+
+    /// Two payload rows per tile, `b = 8·V`: the `2 × b` tile is loaded
+    /// once, each sample's input slice once for both rows, samples in
+    /// ascending order.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn payload_grad_v<const V: usize>(csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]) {
+        let (out_dim, in_dim) = sparse_shape(csr, gp, gy, x);
+        let b = 8 * V;
+        let batch = gy.len() / out_dim;
+        for (idx, gblk) in gp.chunks_exact_mut(b * b).enumerate() {
+            let row0 = csr.block_row[idx] as usize * b;
+            let col = csr.block_col[idx] as usize * b;
+            for (pair, gpair) in gblk.chunks_exact_mut(2 * b).enumerate() {
+                let row = row0 + 2 * pair;
+                let mut acc = [[_mm256_setzero_ps(); V]; 2];
+                for (accq, gprow) in acc.iter_mut().zip(gpair.chunks_exact(b)) {
+                    for (v, a) in accq.iter_mut().enumerate() {
+                        *a = load(&gprow[8 * v..]);
+                    }
+                }
+                for s in 0..batch {
+                    let xs = &x[s * in_dim + col..][..b];
+                    let gs = &gy[s * out_dim + row..][..2];
+                    let mut xv = [_mm256_setzero_ps(); V];
+                    for (v, a) in xv.iter_mut().enumerate() {
+                        *a = load(&xs[8 * v..]);
+                    }
+                    for (accq, g) in acc.iter_mut().zip(gs) {
+                        let (gv, keep, skip) = splat_nonzero(*g);
+                        for (a, xv) in accq.iter_mut().zip(&xv) {
+                            *a = mul_add_kept(*a, gv, *xv, keep, skip);
+                        }
+                    }
+                }
+                for (accq, gprow) in acc.iter().zip(gpair.chunks_exact_mut(b)) {
+                    for (v, a) in accq.iter().enumerate() {
+                        store(&mut gprow[8 * v..], *a);
+                    }
                 }
             }
         }
@@ -905,6 +1385,94 @@ mod tests {
         assert!(gx_ref.as_slice().iter().any(|v| *v != 0.0), "degenerate reference");
         assert_eq!(gx.as_slice(), gx_ref.as_slice());
         assert_eq!(gp.as_slice(), gp_ref.as_slice());
+    }
+
+    /// Every kernel with a SIMD body: the scalar body and the SIMD body, on
+    /// the same inputs, must produce the same bits. The shapes cover the
+    /// tile tails (rows not a multiple of four, columns and inner widths
+    /// not a multiple of eight or sixteen); the zero-skip inputs include
+    /// `±0.0` gradients, a NaN gradient, an infinite operand behind a zero
+    /// gradient and `-0.0` accumulators.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn every_isa_body_is_bit_identical() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+        /// Values in `[-1, 1]` with exact `+0.0` and `-0.0` mixed in.
+        fn signed_zeros(len: usize, rng: &mut impl Rng) -> Vec<f32> {
+            (0..len)
+                .map(|_| match rng.gen_range(0u32..8) {
+                    0..=2 => 0.0,
+                    3 => -0.0,
+                    _ => rng.gen_range(-1.0..=1.0),
+                })
+                .collect()
+        }
+        type Body<'a> = &'a dyn Fn(&mut [f32]);
+        let check = |what: &str, start: &[f32], scalar: Body<'_>, simd: Body<'_>| {
+            let (mut want, mut got) = (start.to_vec(), start.to_vec());
+            scalar(&mut want);
+            simd(&mut got);
+            assert_eq!(bits(&got), bits(&want), "{what}");
+        };
+        let mut rng = seeded_rng(29);
+        for &(m, n, k) in
+            &[(1, 1, 1), (3, 5, 7), (4, 2, 8), (5, 17, 13), (9, 33, 64), (32, 20, 130)]
+        {
+            let mut vals = |len: usize| signed_zeros(len, &mut rng);
+            let (a, b, start) = (vals(m * k), vals(n * k), vals(m * n));
+            for add in [false, true] {
+                check(
+                    &format!("dots {m}x{n}x{k} add={add}"),
+                    &start,
+                    &|c| dots_scalar(&a, &b, k, c, add),
+                    // SAFETY: the check at the top guarantees avx2.
+                    &|c| unsafe { avx2::dots(&a, &b, k, c, add) },
+                );
+            }
+            let b = vals(k * n);
+            for transposed in [false, true] {
+                check(
+                    &format!("axpy {m}x{n}x{k} transposed={transposed}"),
+                    &start,
+                    &|c| axpy_scalar(&a, transposed, &b, n, c),
+                    // SAFETY: the check at the top guarantees avx2.
+                    &|c| unsafe { avx2::axpy(&a, transposed, &b, n, c) },
+                );
+            }
+        }
+        for (block, rows) in [(8usize, 1usize), (8, 6), (16, 3), (32, 5), (32, 2)] {
+            let w = sample(block, 3, 4, 0.5, 60 + block as u64);
+            let csr = w.csr();
+            let (out_dim, in_dim) = w.shape();
+            let mut payload = w.data().to_vec();
+            payload[3] = f32::INFINITY;
+            let mut x = signed_zeros(rows * in_dim, &mut rng);
+            x[0] = f32::INFINITY;
+            let mut gy = signed_zeros(rows * out_dim, &mut rng);
+            gy[1] = f32::NAN;
+            // The infinite payload entry sits in row 0 of the first stored
+            // block: the zero gradient there must skip it.
+            gy[0] = -0.0;
+            check(
+                &format!("sparse dX block {block} rows {rows}"),
+                &signed_zeros(rows * in_dim, &mut rng),
+                &|gx| sparse_dx_scalar(&csr, &payload, &gy, gx),
+                // SAFETY: the check at the top guarantees avx2.
+                &|gx| unsafe { avx2::sparse_dx(&csr, &payload, &gy, gx) },
+            );
+            check(
+                &format!("payload grad block {block} rows {rows}"),
+                &signed_zeros(payload.len(), &mut rng),
+                &|gp| payload_grad_scalar(&csr, &x, &gy, gp),
+                // SAFETY: the check at the top guarantees avx2.
+                &|gp| unsafe { avx2::payload_grad(&csr, &x, &gy, gp) },
+            );
+        }
     }
 
     #[test]

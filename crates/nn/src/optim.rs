@@ -28,13 +28,19 @@ impl Sgd {
     /// Applies one update step to the given parameters using their
     /// accumulated gradients, then leaves the gradients untouched (call
     /// `zero_grad` separately, mirroring the usual framework contract).
+    ///
+    /// # Panics
+    /// Panics on a frozen parameter, or one whose gradient or momentum
+    /// buffer is not as long as its values.
     pub fn step(&self, params: &mut [&mut Param]) {
         for p in params.iter_mut() {
             assert!(!p.is_frozen(), "SGD step on frozen (forward-only) parameter {}", p.name());
-            for i in 0..p.value.len() {
-                let v = self.momentum * p.velocity[i] + p.grad[i];
-                p.velocity[i] = v;
-                p.value[i] -= self.lr * v;
+            assert_eq!(p.grad.len(), p.value.len(), "SGD step: {} gradient length", p.name());
+            assert_eq!(p.velocity.len(), p.value.len(), "SGD step: {} momentum length", p.name());
+            for ((w, vel), g) in p.value.iter_mut().zip(&mut p.velocity).zip(&p.grad) {
+                let v = self.momentum * *vel + g;
+                *vel = v;
+                *w -= self.lr * v;
             }
             p.mark_dirty();
         }
@@ -146,5 +152,13 @@ mod tests {
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_zero_lr() {
         let _ = Sgd::new(0.0, 0.9);
+    }
+
+    #[test]
+    #[should_panic(expected = "SGD step: x gradient length")]
+    fn sgd_rejects_a_gradient_of_the_wrong_length() {
+        let mut p = Param::new("x", vec![1.0, 2.0, 3.0]);
+        p.grad = vec![0.5; 2];
+        Sgd::new(0.1, 0.9).step(&mut [&mut p]);
     }
 }
