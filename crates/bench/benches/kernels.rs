@@ -3,10 +3,7 @@
 //! replaces, plus the pixelfly block-sparse product and full training
 //! steps of the butterfly and pixelfly layers.
 
-use bfly_bench::legacy::{legacy_backward, legacy_forward, LegacyButterfly};
-use bfly_core::{
-    flat_butterfly_mask, fused_backward, fused_forward_train, BlockSparseMatrix, Butterfly,
-};
+use bfly_core::{flat_butterfly_mask, BlockSparseMatrix, Butterfly};
 use bfly_tensor::{matmul::matmul_a_bt, seeded_rng, Matrix, Scratch};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -94,54 +91,10 @@ fn bench_pixelfly_train_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fused stage-major kernels against the pre-fusion reference path
-/// (`bfly_bench::legacy`) on identical inputs: training forward with stage
-/// caching, and the backward pass. `bench_kernels` (the binary) covers the
-/// full (n, batch) grid; this group keeps one representative point under
-/// Criterion's statistics.
-fn bench_fused_vs_legacy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fused_vs_legacy");
-    let n = 1024usize;
-    let batch = 32usize;
-    let mut rng = seeded_rng(4);
-    let b = Butterfly::random(n, &mut rng);
-    let mut lb = LegacyButterfly::from_butterfly(&b);
-    let x = Matrix::random_uniform(batch, n, 1.0, &mut rng);
-    let bias = vec![0.01f32; n];
-    group.throughput(Throughput::Elements((batch * n) as u64));
-    group.bench_with_input(BenchmarkId::new("forward_train_legacy", n), &n, |bch, _| {
-        bch.iter(|| legacy_forward(&mut lb, &x, &bias, n, true))
-    });
-    let mut scratch = Scratch::new();
-    let mut arena = Vec::new();
-    group.bench_with_input(BenchmarkId::new("forward_train_fused", n), &n, |bch, _| {
-        bch.iter(|| fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch))
-    });
-    let (y, cache) = legacy_forward(&mut lb, &x, &bias, n, true);
-    let _ = fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
-    let mut legacy_gt: Vec<Vec<f32>> =
-        b.factors.iter().map(|f| vec![0.0; f.twiddles.len()]).collect();
-    group.bench_with_input(BenchmarkId::new("backward_legacy", n), &n, |bch, _| {
-        bch.iter(|| legacy_backward(&lb, &y, &cache, n, &mut legacy_gt))
-    });
-    let mut fused_gt: Vec<Vec<f32>> =
-        b.factors.iter().map(|f| vec![0.0; f.twiddles.len()]).collect();
-    group.bench_with_input(BenchmarkId::new("backward_fused", n), &n, |bch, _| {
-        bch.iter(|| {
-            fused_backward(&y, &b.perm, &b.factors, &arena, n, |s, flat| {
-                for (acc, v) in fused_gt[s].iter_mut().zip(flat) {
-                    *acc += v;
-                }
-            })
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_butterfly_vs_dense, bench_block_sparse, bench_butterfly_train_step,
-        bench_pixelfly_train_step, bench_fused_vs_legacy
+        bench_pixelfly_train_step
 }
 criterion_main!(benches);

@@ -23,24 +23,15 @@
 //! grown replica's first batch carries breaches dense's SLO but hides
 //! inside butterfly's headroom.
 //!
-//! Environment knobs: BFLY_AUTOSCALE_DIM (default 2048), BFLY_AUTOSCALE_
-//! WORKERS (default 2), BFLY_AUTOSCALE_BATCH (default 32),
-//! BFLY_AUTOSCALE_POOL (default 64), BFLY_AUTOSCALE_QUEUE (default 512),
-//! BFLY_AUTOSCALE_MAX (pod ceiling, default 4), BFLY_AUTOSCALE_CLIENTS /
-//! BFLY_AUTOSCALE_PER_CLIENT (calibration load, defaults 32 x 50 — enough
-//! concurrent clients to fill max_batch, so the clean p99 prices *full*
-//! batches like the ones the flash crowd forms),
-//! BFLY_AUTOSCALE_SPIKE (peak rate as a multiple of the fast method's
-//! capacity, default 3.0), BFLY_AUTOSCALE_SLO_MULT (per-method SLO as a
-//! multiple of its clean sim p99, default 1.2), BFLY_AUTOSCALE_MAX_ARRIVALS
-//! (trace size cap, default 60000), BFLY_AUTOSCALE_SEED (trace seed,
-//! default 17).
+//! The calibration load runs 32 clients x 50 requests: enough concurrent
+//! clients to fill `max_batch`, so the clean p99 prices *full* batches like
+//! the ones the flash crowd forms.
 //!
-//! `--smoke` (or BFLY_BENCH_SMOKE=1) runs a tiny sweep for CI and skips
-//! the JSON write so checked-in numbers always come from a full run.
+//! `--smoke` runs a tiny sweep for CI and skips the JSON write so
+//! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{env_f64, env_u64, env_usize, host_cores, smoke_run};
+use bfly_bench::{host_cores, smoke_run};
 use bfly_core::Method;
 use bfly_data::TrafficTrace;
 use bfly_serve::{
@@ -51,6 +42,21 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::time::Duration;
+
+const CLASSES: usize = 10;
+const MAX_BATCH: usize = 32;
+/// Distinct inputs the load cycles through.
+const POOL: usize = 64;
+const QUEUE_CAPACITY: usize = 512;
+const INITIAL_REPLICAS: usize = 1;
+/// Pod ceiling of the elastic runs.
+const MAX_REPLICAS: usize = 4;
+const COOLDOWN_WINDOWS: u32 = 2;
+/// Peak rate as a multiple of the faster method's capacity.
+const SPIKE: f64 = 3.0;
+/// Per-method SLO as a multiple of its clean sim p99.
+const SLO_MULT: f64 = 1.2;
+const TRACE_SEED: u64 = 17;
 
 #[derive(Serialize)]
 struct Calibration {
@@ -110,7 +116,6 @@ struct Headline {
 #[derive(Serialize)]
 struct BenchOutput {
     config: ConfigBlock,
-    host_cores: usize,
     calibration: Vec<Calibration>,
     /// The shared trace both methods replay: rate segments after any
     /// size-cap rescale, plus the arrival count actually offered.
@@ -144,34 +149,31 @@ struct TraceBlock {
     arrivals: usize,
 }
 
+/// The part of the workload `--smoke` shrinks.
 struct Workload {
     dim: usize,
     workers: usize,
-    max_batch: usize,
-    pool: usize,
-    queue: usize,
-    initial: usize,
-    max: usize,
+    /// Calibration load.
     clients: u64,
     per_client: u64,
+    /// Autoscale controller sampling interval.
     interval: Duration,
-    cooldown: u32,
 }
 
 fn serve_config(w: &Workload, autoscale: AutoscaleConfig) -> ServeConfig {
     ServeConfig {
         dim: w.dim,
-        classes: 10,
+        classes: CLASSES,
         seed: 0xB0D5,
-        max_batch: w.max_batch,
+        max_batch: MAX_BATCH,
         max_wait: Duration::from_micros(200),
-        queue_capacity: w.queue,
+        queue_capacity: QUEUE_CAPACITY,
         workers: w.workers,
         tensor_cores: false,
         // Cache off: every request must compute, so backlog and simulated
         // latency reflect real work and the scale signals are honest.
         cache: CacheConfig::disabled(),
-        replicas: w.initial,
+        replicas: INITIAL_REPLICAS,
         autoscale,
         ..Default::default()
     }
@@ -180,8 +182,8 @@ fn serve_config(w: &Workload, autoscale: AutoscaleConfig) -> ServeConfig {
 fn elastic_config(w: &Workload) -> AutoscaleConfig {
     AutoscaleConfig {
         interval: w.interval,
-        cooldown_windows: w.cooldown,
-        ..AutoscaleConfig::bounded(w.initial, w.max)
+        cooldown_windows: COOLDOWN_WINDOWS,
+        ..AutoscaleConfig::bounded(INITIAL_REPLICAS, MAX_REPLICAS)
     }
 }
 
@@ -193,7 +195,7 @@ fn calibrate(w: &Workload, method: Method) -> Calibration {
     let arrivals = Arrivals::Closed { clients: w.clients, per_client: w.per_client };
     let models = vec![name.clone()];
     let report =
-        LoadPlan { models, arrivals, seed: 0xBEE5, pool: w.pool, slo_sim_us: None }.run(&server);
+        LoadPlan { models, arrivals, seed: 0xBEE5, pool: POOL, slo_sim_us: None }.run(&server);
     server.shutdown();
     Calibration {
         method: name,
@@ -230,7 +232,7 @@ fn run_once(
         models: vec![name.clone()],
         arrivals: Arrivals::Trace(arrivals.to_vec()),
         seed: 0xBEE5,
-        pool: w.pool,
+        pool: POOL,
         slo_sim_us: Some(slo_sim_us),
     };
     let report = plan.run(&server);
@@ -262,32 +264,32 @@ fn run_once(
 
 fn main() {
     let smoke = smoke_run();
-    let workload = Workload {
-        dim: env_usize("BFLY_AUTOSCALE_DIM", if smoke { 512 } else { 2048 }),
-        workers: env_usize("BFLY_AUTOSCALE_WORKERS", if smoke { 1 } else { 2 }),
-        max_batch: env_usize("BFLY_AUTOSCALE_BATCH", 32),
-        pool: env_usize("BFLY_AUTOSCALE_POOL", 64),
-        queue: env_usize("BFLY_AUTOSCALE_QUEUE", 512),
-        initial: 1,
-        max: env_usize("BFLY_AUTOSCALE_MAX", 4),
-        clients: env_u64("BFLY_AUTOSCALE_CLIENTS", if smoke { 8 } else { 32 }),
-        per_client: env_u64("BFLY_AUTOSCALE_PER_CLIENT", if smoke { 15 } else { 50 }),
-        interval: Duration::from_millis(if smoke { 15 } else { 40 }),
-        cooldown: 2,
+    let workload = if smoke {
+        Workload {
+            dim: 512,
+            workers: 1,
+            clients: 8,
+            per_client: 15,
+            interval: Duration::from_millis(15),
+        }
+    } else {
+        Workload {
+            dim: 2048,
+            workers: 2,
+            clients: 32,
+            per_client: 50,
+            interval: Duration::from_millis(40),
+        }
     };
-    let spike = env_f64("BFLY_AUTOSCALE_SPIKE", 3.0);
-    let slo_mult = env_f64("BFLY_AUTOSCALE_SLO_MULT", 1.2);
-    let max_arrivals = env_usize("BFLY_AUTOSCALE_MAX_ARRIVALS", if smoke { 2_500 } else { 60_000 });
-    let trace_seed = env_u64("BFLY_AUTOSCALE_SEED", 17);
-    let host_cores = host_cores();
+    // Trace size cap.
+    let max_arrivals: usize = if smoke { 2_500 } else { 60_000 };
 
     println!(
-        "bench_autoscale: dim {}, {} workers, batch {}, pod 1->{}, spike {spike}x, \
-         host cores {host_cores}{}\n",
+        "bench_autoscale: dim {}, {} workers, batch {MAX_BATCH}, pod \
+         {INITIAL_REPLICAS}->{MAX_REPLICAS}, spike {SPIKE}x, host cores {}{}\n",
         workload.dim,
         workload.workers,
-        workload.max_batch,
-        workload.max,
+        host_cores(),
         if smoke { " [smoke]" } else { "" }
     );
 
@@ -307,11 +309,11 @@ fn main() {
     let fast_cap = calibration.iter().map(|c| c.capacity_rps).fold(0.0, f64::max);
 
     // One shared flash-crowd trace: quiet at half the slow method's
-    // capacity, spiking to `spike` x the fast method's. Capped in size so
+    // capacity, spiking to `SPIKE` x the fast method's. Capped in size so
     // a fast host cannot explode the arrival count; the cap rescales both
     // phases together, preserving the quiet:spike ratio.
     let base = (slow_cap * 0.5).max(1.0);
-    let peak = (fast_cap * spike).max(base * 2.0);
+    let peak = (fast_cap * SPIKE).max(base * 2.0);
     let (spike_at, hold, duration) = if smoke { (0.25, 0.5, 1.5) } else { (0.75, 1.25, 3.5) };
     let mut trace = TrafficTrace::flash_crowd(base, peak / base, duration, spike_at, hold);
     let expected = trace.expected_requests();
@@ -322,9 +324,9 @@ fn main() {
             max_arrivals as f64 / expected
         );
     }
-    let arrivals = trace.arrivals(&mut ChaCha8Rng::seed_from_u64(trace_seed));
+    let arrivals = trace.arrivals(&mut ChaCha8Rng::seed_from_u64(TRACE_SEED));
     println!(
-        "trace: {:.2} s, base {:.0} rps, peak {:.0} rps, {} arrivals, slo {slo_mult}x clean p99\n",
+        "trace: {:.2} s, base {:.0} rps, peak {:.0} rps, {} arrivals, slo {SLO_MULT}x clean p99\n",
         trace.duration_s(),
         trace.rate_at(0.0),
         trace.peak_rps(),
@@ -346,7 +348,7 @@ fn main() {
     );
     let mut results = Vec::new();
     for (&method, calib) in methods.iter().zip(&calibration) {
-        let slo_sim_us = calib.sim_p99_us * slo_mult;
+        let slo_sim_us = calib.sim_p99_us * SLO_MULT;
         for (mode, autoscale) in
             [("fixed", AutoscaleConfig::default()), ("elastic", elastic_config(&workload))]
         {
@@ -397,20 +399,19 @@ fn main() {
     let output = BenchOutput {
         config: ConfigBlock {
             dim: workload.dim,
-            classes: 10,
+            classes: CLASSES,
             workers: workload.workers,
-            max_batch: workload.max_batch,
-            input_pool: workload.pool,
-            queue_capacity: workload.queue,
-            initial_replicas: workload.initial,
-            max_replicas: workload.max,
-            spike_multiple: spike,
-            slo_mult,
-            trace_seed,
+            max_batch: MAX_BATCH,
+            input_pool: POOL,
+            queue_capacity: QUEUE_CAPACITY,
+            initial_replicas: INITIAL_REPLICAS,
+            max_replicas: MAX_REPLICAS,
+            spike_multiple: SPIKE,
+            slo_mult: SLO_MULT,
+            trace_seed: TRACE_SEED,
             autoscale_interval_ms: workload.interval.as_millis() as u64,
-            cooldown_windows: workload.cooldown,
+            cooldown_windows: COOLDOWN_WINDOWS,
         },
-        host_cores,
         calibration,
         trace: TraceBlock {
             duration_s: trace.duration_s(),

@@ -10,20 +10,20 @@
 //!   * the **pixelfly point**: the full fused forward (sparse + low-rank +
 //!     bias) against the pre-fusion affine (naive block matmul plus two
 //!     dense low-rank passes) at the paper-default config
-//!     (block 32, butterfly 8, rank 128) on n = 1024, batch 128 — the
-//!     serving shape the issue's >= 2x acceptance bar is set on.
+//!     (block 32, butterfly 8, rank 128) on n = 1024, batch 128, checked to
+//!     a relative tolerance before timing.
 //!
-//! Results print as tables and are written to `BENCH_blocksparse.json` at
-//! the workspace root. `--smoke` or `BFLY_BENCH_SMOKE=1` runs a
-//! seconds-long smoke version (tiny sizes, few iterations) and skips the
-//! JSON write — used by CI to keep the binary from rotting.
-//!
-//! Environment knobs: BFLY_BENCH_SMOKE (0/1), BFLY_BENCH_ITERS_SCALE
-//! (default 1.0, multiplies iteration counts).
+//! Each point is timed by `bfly_bench::measure` (interleaved samples,
+//! median and quartiles per side, speedup as the ratio of the medians).
+//! Results print as tables of medians and are written to
+//! `BENCH_blocksparse.json` at the workspace root. `--smoke` runs a
+//! seconds-long version (tiny sizes, few samples) and skips the JSON
+//! write — used by CI to keep the binary from rotting.
 
 use bfly_bench::format_table;
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{env_f64, host_cores, smoke_run};
+use bfly_bench::measure::Arm;
+use bfly_bench::smoke_run;
 use bfly_core::{
     flat_butterfly_mask, fused_block_forward, BlockSparseMatrix, LowRankRef, PixelflyConfig,
 };
@@ -32,7 +32,6 @@ use bfly_tensor::{seeded_rng, Matrix, Scratch};
 use rand::Rng;
 use serde::Serialize;
 use std::hint::black_box;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct SweepPoint {
@@ -43,9 +42,10 @@ struct SweepPoint {
     density_pct: u64,
     nnz_blocks: usize,
     batch: usize,
-    naive_us: f64,
-    fused_us: f64,
-    speedup: f64,
+    /// Timed calls per side.
+    samples: usize,
+    /// Naive matmul-per-block (baseline) vs the fused kernel (candidate).
+    timing: Arm,
 }
 
 #[derive(Serialize)]
@@ -56,43 +56,22 @@ struct PixelflyPoint {
     butterfly_size: usize,
     rank: usize,
     nnz_blocks: usize,
-    naive_us: f64,
-    fused_us: f64,
-    speedup: f64,
+    /// Timed calls per side.
+    samples: usize,
+    /// Pre-fusion affine (baseline) vs the fused forward (candidate).
+    timing: Arm,
 }
 
 #[derive(Serialize)]
 struct BenchOutput {
-    host_cores: usize,
     sweep: Vec<SweepPoint>,
     pixelfly: PixelflyPoint,
 }
 
-/// Mean microseconds per call for a (naive, fused) pair, measured in strict
-/// alternation (after one untimed warm-up call each) so slow clock drift
-/// hits both sides equally instead of whichever ran later.
-fn time_pair_us(iters: usize, mut naive: impl FnMut(), mut fused: impl FnMut()) -> (f64, f64) {
-    naive();
-    fused();
-    let mut naive_secs = 0.0;
-    let mut fused_secs = 0.0;
-    for _ in 0..iters {
-        let t = Instant::now();
-        naive();
-        naive_secs += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        fused();
-        fused_secs += t.elapsed().as_secs_f64();
-    }
-    (naive_secs * 1e6 / iters as f64, fused_secs * 1e6 / iters as f64)
-}
-
-fn speedup(naive_us: f64, fused_us: f64) -> f64 {
-    if fused_us > 0.0 {
-        naive_us / fused_us
-    } else {
-        0.0
-    }
+/// Samples for a measurement of `work` multiply-adds per call: a
+/// comparable wall-clock slice per point, at least 10 samples per side.
+fn samples_for(work: usize, work_budget: f64) -> usize {
+    ((work_budget / work.max(1) as f64) as usize).clamp(10, 300)
 }
 
 /// Block-grid diagonal plus ~`density_pct`% of the off-diagonal slots,
@@ -115,7 +94,7 @@ fn sweep_point(
     block: usize,
     density_pct: u64,
     batch: usize,
-    iters_scale: f64,
+    work_budget: f64,
 ) -> SweepPoint {
     let grid = n / block;
     let coords = random_pattern(grid, density_pct, 0xB10C + block as u64);
@@ -135,13 +114,9 @@ fn sweep_point(
         "fused kernel must be bit-identical to naive at block {block}"
     );
 
-    // Budget iterations by touched payload so each point takes a comparable
-    // wall-clock slice: ~300M multiply-adds per measurement at scale 1.
-    let work = (csr.nnz_blocks() * block * block * batch).max(1);
-    let iters = (((300_000_000.0 * iters_scale) / work as f64) as usize).clamp(3, 300);
-
-    let (naive_us, fused_us) = time_pair_us(
-        iters,
+    let samples = samples_for(csr.nnz_blocks() * block * block * batch, work_budget);
+    let timing = Arm::time(
+        samples,
         || {
             black_box(w.matmul_batch(&x));
         },
@@ -150,16 +125,7 @@ fn sweep_point(
         },
     );
 
-    SweepPoint {
-        n,
-        block,
-        density_pct,
-        nnz_blocks: csr.nnz_blocks(),
-        batch,
-        naive_us,
-        fused_us,
-        speedup: speedup(naive_us, fused_us),
-    }
+    SweepPoint { n, block, density_pct, nnz_blocks: csr.nnz_blocks(), batch, samples, timing }
 }
 
 /// The pre-fusion pixelfly affine: naive matmul-per-block, then two dense
@@ -188,7 +154,7 @@ fn naive_pixelfly(
     y
 }
 
-fn pixelfly_point(n: usize, batch: usize, iters_scale: f64) -> PixelflyPoint {
+fn pixelfly_point(n: usize, batch: usize, work_budget: f64) -> PixelflyPoint {
     let config = PixelflyConfig::paper_default();
     let grid = n / config.block_size;
     let coords = flat_butterfly_mask(grid, config.butterfly_size);
@@ -215,10 +181,9 @@ fn pixelfly_point(n: usize, batch: usize, iters_scale: f64) -> PixelflyPoint {
     }
 
     let work = (csr.nnz_blocks() * config.block_size * config.block_size + 2 * n * rank) * batch;
-    let iters = (((300_000_000.0 * iters_scale) / work.max(1) as f64) as usize).clamp(3, 300);
-
-    let (naive_us, fused_us) = time_pair_us(
-        iters,
+    let samples = samples_for(work, work_budget);
+    let timing = Arm::time(
+        samples,
         || {
             black_box(naive_pixelfly(&w, &u, &v, rank, &bias, &x));
         },
@@ -234,18 +199,18 @@ fn pixelfly_point(n: usize, batch: usize, iters_scale: f64) -> PixelflyPoint {
         butterfly_size: config.butterfly_size,
         rank,
         nnz_blocks: csr.nnz_blocks(),
-        naive_us,
-        fused_us,
-        speedup: speedup(naive_us, fused_us),
+        samples,
+        timing,
     }
 }
 
 fn main() {
     let smoke = smoke_run();
-    let iters_scale = if smoke { 0.002 } else { env_f64("BFLY_BENCH_ITERS_SCALE", 1.0) };
+    // Multiply-adds per measurement the sample count is budgeted by.
+    let work_budget = if smoke { 600_000.0 } else { 300_000_000.0 };
 
     println!(
-        "bench_blocksparse: naive matmul-per-block vs fused SIMD kernels{}\n",
+        "bench_blocksparse: naive matmul-per-block vs fused SIMD kernels, median us{}\n",
         if smoke { " (smoke mode)" } else { "" }
     );
 
@@ -258,7 +223,7 @@ fn main() {
     for &block in blocks {
         for &density in densities {
             for &batch in batches {
-                sweep.push(sweep_point(n, block, density, batch, iters_scale));
+                sweep.push(sweep_point(n, block, density, batch, work_budget));
             }
         }
     }
@@ -271,9 +236,9 @@ fn main() {
                 format!("{}%", p.density_pct),
                 p.nnz_blocks.to_string(),
                 p.batch.to_string(),
-                format!("{:.1}", p.naive_us),
-                format!("{:.1}", p.fused_us),
-                format!("{:.2}x", p.speedup),
+                format!("{:.1}", p.timing.baseline.median_us),
+                format!("{:.1}", p.timing.candidate.median_us),
+                format!("{:.2}x", p.timing.speedup),
             ]
         })
         .collect();
@@ -286,7 +251,7 @@ fn main() {
     );
 
     let (pf_n, pf_batch) = if smoke { (256, 8) } else { (1024, 128) };
-    let pixelfly = pixelfly_point(pf_n, pf_batch, iters_scale);
+    let pixelfly = pixelfly_point(pf_n, pf_batch, work_budget);
     println!(
         "pixelfly paper-default (block {}, butterfly {}, rank {}) n {} batch {}: \
          naive {:.1} us, fused {:.1} us ({:.2}x)",
@@ -295,12 +260,11 @@ fn main() {
         pixelfly.rank,
         pixelfly.n,
         pixelfly.batch,
-        pixelfly.naive_us,
-        pixelfly.fused_us,
-        pixelfly.speedup,
+        pixelfly.timing.baseline.median_us,
+        pixelfly.timing.candidate.median_us,
+        pixelfly.timing.speedup,
     );
 
-    let output = BenchOutput { host_cores: host_cores(), sweep, pixelfly };
     println!();
-    write_bench_json("blocksparse", &output, smoke);
+    write_bench_json("blocksparse", &BenchOutput { sweep, pixelfly }, smoke);
 }

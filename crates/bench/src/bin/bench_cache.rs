@@ -13,19 +13,22 @@
 //! latency. Results are printed as a table and written to
 //! `BENCH_cache.json`.
 //!
-//! Environment knobs: BFLY_CACHE_DIM (default 256), BFLY_CACHE_REQUESTS
-//! (default 4000), BFLY_CACHE_RATE (offered rps, default 1e6 ~ burst),
-//! BFLY_CACHE_WORKERS (default 2), BFLY_CACHE_BATCH (default 32).
-//!
-//! `--smoke` (or BFLY_BENCH_SMOKE=1) runs a tiny sweep for CI and skips the
-//! JSON write so checked-in numbers always come from a full run.
+//! `--smoke` runs a tiny sweep for CI and skips the JSON write so
+//! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{env_f64, env_usize, host_cores, smoke_run};
+use bfly_bench::smoke_run;
 use bfly_core::Method;
 use bfly_serve::{Arrivals, CacheConfig, LoadPlan, ServeConfig, Server};
 use serde::Serialize;
 use std::time::Duration;
+
+const DIM: usize = 256;
+const CLASSES: usize = 10;
+/// Offered requests/s: far above capacity, i.e. a burst.
+const RATE: f64 = 1e6;
+const WORKERS: usize = 2;
+const MAX_BATCH: usize = 32;
 
 #[derive(Serialize)]
 struct RunStats {
@@ -66,7 +69,6 @@ struct SweepPoint {
 
 #[derive(Serialize)]
 struct BenchOutput {
-    host_cores: usize,
     dim: usize,
     classes: usize,
     workers: usize,
@@ -78,33 +80,24 @@ struct BenchOutput {
     results: Vec<SweepPoint>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_once(
-    dim: usize,
-    workers: usize,
-    max_batch: usize,
-    requests: u64,
-    rate: f64,
-    pool_size: usize,
-    cache: CacheConfig,
-) -> RunStats {
+fn run_once(requests: u64, pool_size: usize, cache: CacheConfig) -> RunStats {
     let enabled = cache.enabled;
     let config = ServeConfig {
-        dim,
-        classes: 10,
+        dim: DIM,
+        classes: CLASSES,
         seed: 0xCACE,
-        max_batch,
+        max_batch: MAX_BATCH,
         max_wait: Duration::from_micros(200),
         // Deep enough that nothing sheds: both runs then complete the same
         // offered load and throughput compares wall-clock, not drop rate.
         queue_capacity: (requests as usize).max(256),
-        workers,
+        workers: WORKERS,
         tensor_cores: false,
         cache,
         ..Default::default()
     };
     let server = Server::start(config, &[Method::Butterfly]).expect("dim must fit butterfly");
-    let arrivals = Arrivals::Poisson { rate_hz: rate, total: requests };
+    let arrivals = Arrivals::Poisson { rate_hz: RATE, total: requests };
     let models = vec!["butterfly".to_string()];
     let report =
         LoadPlan { models, arrivals, seed: 0xBEE5, pool: pool_size, slo_sim_us: None }.run(&server);
@@ -136,11 +129,7 @@ fn run_once(
 
 fn main() {
     let smoke = smoke_run();
-    let dim = env_usize("BFLY_CACHE_DIM", 256);
-    let requests = env_usize("BFLY_CACHE_REQUESTS", if smoke { 300 } else { 4000 }) as u64;
-    let rate = env_f64("BFLY_CACHE_RATE", 1e6);
-    let workers = env_usize("BFLY_CACHE_WORKERS", 2);
-    let max_batch = env_usize("BFLY_CACHE_BATCH", 32);
+    let requests: u64 = if smoke { 300 } else { 4000 };
     let cache_config = CacheConfig::default();
 
     // Reuse sweep: pool of n distinct inputs = 0% repeats, down to a pool
@@ -152,8 +141,8 @@ fn main() {
     };
 
     println!(
-        "bench_cache: dim {dim}, {requests} requests offered at {rate:.0} rps, \
-         batch {max_batch}, {workers} workers, cache capacity {} x {} shards{}\n",
+        "bench_cache: dim {DIM}, {requests} requests offered at {RATE:.0} rps, \
+         batch {MAX_BATCH}, {WORKERS} workers, cache capacity {} x {} shards{}\n",
         cache_config.capacity,
         cache_config.shards,
         if smoke { " [smoke]" } else { "" }
@@ -167,9 +156,8 @@ fn main() {
     for &(divisor, label) in divisors {
         let pool_size = ((requests / divisor).max(1)) as usize;
         let reuse_frac = 1.0 - pool_size as f64 / requests as f64;
-        let off =
-            run_once(dim, workers, max_batch, requests, rate, pool_size, CacheConfig::disabled());
-        let on = run_once(dim, workers, max_batch, requests, rate, pool_size, cache_config.clone());
+        let off = run_once(requests, pool_size, CacheConfig::disabled());
+        let on = run_once(requests, pool_size, cache_config.clone());
         let throughput_speedup =
             if off.throughput_rps > 0.0 { on.throughput_rps / off.throughput_rps } else { 0.0 };
         let p99_reduction = if on.latency_p99_us > 0 {
@@ -200,13 +188,12 @@ fn main() {
     }
 
     let output = BenchOutput {
-        host_cores: host_cores(),
-        dim,
-        classes: 10,
-        workers,
+        dim: DIM,
+        classes: CLASSES,
+        workers: WORKERS,
         requests,
-        offered_rate_rps: rate,
-        max_batch,
+        offered_rate_rps: RATE,
+        max_batch: MAX_BATCH,
         cache_capacity: cache_config.capacity,
         cache_shards: cache_config.shards,
         results,

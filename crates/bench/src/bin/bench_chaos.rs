@@ -14,17 +14,11 @@
 //! magnitude cheaper than the dense baseline's ~n²·4-byte reload, so
 //! compression shows up again as *recovery* elasticity, not just capacity.
 //!
-//! Environment knobs: BFLY_CHAOS_DIM (default 256), BFLY_CHAOS_CLIENTS
-//! (default 16), BFLY_CHAOS_PER_CLIENT (default 250), BFLY_CHAOS_WORKERS
-//! (default 2), BFLY_CHAOS_BATCH (default 32), BFLY_CHAOS_POOL (default
-//! 64), BFLY_CHAOS_REPLICAS (default 4), BFLY_CHAOS_ROUTING (rr | p2c |
-//! jsq, default p2c), BFLY_CHAOS_SEED (fault-plan seed, default 7).
-//!
-//! `--smoke` (or BFLY_BENCH_SMOKE=1) runs a tiny sweep for CI and skips the
-//! JSON write so checked-in numbers always come from a full run.
+//! `--smoke` runs a tiny sweep for CI and skips the JSON write so
+//! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{env_u64, env_usize, host_cores, smoke_run};
+use bfly_bench::{host_cores, smoke_run};
 use bfly_core::Method;
 use bfly_serve::{
     Arrivals, CacheConfig, FaultPlan, LoadPlan, LoadReport, ReplicaStats, Routing, ServeConfig,
@@ -32,6 +26,16 @@ use bfly_serve::{
 };
 use serde::Serialize;
 use std::time::Duration;
+
+const DIM: usize = 256;
+const CLASSES: usize = 10;
+const WORKERS: usize = 2;
+const MAX_BATCH: usize = 32;
+/// Distinct inputs the closed-loop clients cycle through.
+const POOL: usize = 64;
+const ROUTING: Routing = Routing::PowerOfTwoChoices;
+/// Seed of the crash/recovery schedules.
+const FAULT_SEED: u64 = 7;
 
 #[derive(Serialize, Clone)]
 struct RunStats {
@@ -68,7 +72,6 @@ struct BenchOutput {
     dim: usize,
     classes: usize,
     workers: usize,
-    host_cores: usize,
     clients: u64,
     per_client: u64,
     max_batch: usize,
@@ -83,16 +86,11 @@ struct BenchOutput {
     results: Vec<RunStats>,
 }
 
+/// The part of the workload `--smoke` shrinks.
 struct Workload {
-    dim: usize,
-    workers: usize,
-    max_batch: usize,
     clients: u64,
     per_client: u64,
-    pool: usize,
     replicas: usize,
-    routing: Routing,
-    fault_seed: u64,
 }
 
 fn run_once(
@@ -102,19 +100,19 @@ fn run_once(
     plan: FaultPlan,
 ) -> (LoadReport, RunStats) {
     let config = ServeConfig {
-        dim: w.dim,
-        classes: 10,
+        dim: DIM,
+        classes: CLASSES,
         seed: 0xB0D5,
-        max_batch: w.max_batch,
+        max_batch: MAX_BATCH,
         max_wait: Duration::from_micros(200),
         queue_capacity: (w.clients as usize * 4).max(256),
-        workers: w.workers,
+        workers: WORKERS,
         tensor_cores: false,
         // Cache off: every request must compute, so completed requests map
         // 1:1 onto simulated device work and the degradation is honest.
         cache: CacheConfig::disabled(),
         replicas: w.replicas,
-        routing: w.routing,
+        routing: ROUTING,
         fault_plan: plan,
         ..Default::default()
     };
@@ -123,7 +121,7 @@ fn run_once(
     let arrivals = Arrivals::Closed { clients: w.clients, per_client: w.per_client };
     let models = vec![name.clone()];
     let report =
-        LoadPlan { models, arrivals, seed: 0xBEE5, pool: w.pool, slo_sim_us: None }.run(&server);
+        LoadPlan { models, arrivals, seed: 0xBEE5, pool: POOL, slo_sim_us: None }.run(&server);
     let snapshot = server.shutdown();
     let makespan_us = snapshot.pod_makespan_us;
     let succeeded = report.completed - report.pod_down - report.deadline_exceeded;
@@ -152,35 +150,21 @@ fn run_once(
 
 fn main() {
     let smoke = smoke_run();
-    let workload = Workload {
-        dim: env_usize("BFLY_CHAOS_DIM", 256),
-        workers: env_usize("BFLY_CHAOS_WORKERS", 2),
-        max_batch: env_usize("BFLY_CHAOS_BATCH", 32),
-        clients: env_u64("BFLY_CHAOS_CLIENTS", if smoke { 4 } else { 16 }),
-        per_client: env_u64("BFLY_CHAOS_PER_CLIENT", if smoke { 25 } else { 250 }),
-        pool: env_usize("BFLY_CHAOS_POOL", 64),
-        replicas: env_usize("BFLY_CHAOS_REPLICAS", if smoke { 2 } else { 4 }),
-        routing: std::env::var("BFLY_CHAOS_ROUTING")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default(),
-        fault_seed: env_u64("BFLY_CHAOS_SEED", 7),
+    let workload = if smoke {
+        Workload { clients: 4, per_client: 25, replicas: 2 }
+    } else {
+        Workload { clients: 16, per_client: 250, replicas: 4 }
     };
-    let host_cores = host_cores();
     let fault_counts: Vec<usize> = if smoke { vec![0, 2] } else { vec![0, 2, 4, 8] };
 
     println!(
-        "bench_chaos: dim {}, {} clients x {} requests, batch {}, {} workers, \
-         pod {}, routing {}, fault seed {}, host cores {}{}\n",
-        workload.dim,
+        "bench_chaos: dim {DIM}, {} clients x {} requests, batch {MAX_BATCH}, {WORKERS} workers, \
+         pod {}, routing {}, fault seed {FAULT_SEED}, host cores {}{}\n",
         workload.clients,
         workload.per_client,
-        workload.max_batch,
-        workload.workers,
         workload.replicas,
-        workload.routing.label(),
-        workload.fault_seed,
-        host_cores,
+        ROUTING.label(),
+        host_cores(),
         if smoke { " [smoke]" } else { "" }
     );
     println!(
@@ -215,12 +199,8 @@ fn main() {
             } else {
                 // Crashes at fractions of the measured horizon, so they
                 // fire mid-run on any host.
-                let plan = FaultPlan::seeded(
-                    workload.fault_seed,
-                    workload.replicas,
-                    horizon_us * 0.8,
-                    faults,
-                );
+                let plan =
+                    FaultPlan::seeded(FAULT_SEED, workload.replicas, horizon_us * 0.8, faults);
                 let (_, mut s) = run_once(&workload, method, faults, plan);
                 s.vs_fault_free = if clean_throughput > 0.0 {
                     s.sim_throughput_rps / clean_throughput
@@ -248,17 +228,16 @@ fn main() {
     }
 
     let output = BenchOutput {
-        dim: workload.dim,
-        classes: 10,
-        workers: workload.workers,
-        host_cores,
+        dim: DIM,
+        classes: CLASSES,
+        workers: WORKERS,
         clients: workload.clients,
         per_client: workload.per_client,
-        max_batch: workload.max_batch,
-        input_pool: workload.pool,
+        max_batch: MAX_BATCH,
+        input_pool: POOL,
         replicas: workload.replicas,
-        routing: workload.routing.label().to_string(),
-        fault_seed: workload.fault_seed,
+        routing: ROUTING.label().to_string(),
+        fault_seed: FAULT_SEED,
         calibration_horizon_us: calibration,
         fault_counts,
         results,

@@ -17,17 +17,11 @@
 //!    simulated-device throughput, tail latency, and resident weight bytes
 //!    side by side.
 //!
-//! Environment knobs: BFLY_COMPRESS_DIM (default 256),
-//! BFLY_COMPRESS_SAMPLES (default 2400), BFLY_COMPRESS_TRAIN_EPOCHS
-//! (default 10), BFLY_COMPRESS_FT_EPOCHS (default 30), BFLY_COMPRESS_FT_LR
-//! (default 0.01), BFLY_COMPRESS_CLIENTS (default 16),
-//! BFLY_COMPRESS_PER_CLIENT (default 250).
-//!
-//! `--smoke` (or BFLY_BENCH_SMOKE=1) runs a tiny sweep for CI and skips the
-//! JSON write so checked-in numbers always come from a full run.
+//! `--smoke` runs a tiny sweep for CI and skips the JSON write so
+//! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{env_f64, env_u64, env_usize, format_table, host_cores, smoke_run};
+use bfly_bench::{format_table, smoke_run};
 use bfly_core::{compress_model, Method, ModelCompressConfig};
 use bfly_data::{generate, split, Split, SynthSpec};
 use bfly_nn::{build_dense_mlp, evaluate, fit, Sequential, TrainConfig};
@@ -35,6 +29,12 @@ use bfly_serve::{Arrivals, CacheConfig, LoadPlan, PrebuiltModel, ServeConfig, Se
 use bfly_tensor::seeded_rng;
 use serde::Serialize;
 use std::time::Duration;
+
+const CLASSES: usize = 10;
+/// Fine-tuning learning rate of the compressed stack.
+const FT_LR: f64 = 0.01;
+/// Pod size both served models run on.
+const REPLICAS: usize = 4;
 
 #[derive(Serialize)]
 struct FrontierPoint {
@@ -83,18 +83,15 @@ struct BenchOutput {
     serve_clients: u64,
     serve_per_client: u64,
     serve_replicas: usize,
-    host_cores: usize,
     frontier: Vec<FrontierPoint>,
     serve: Vec<ServeStats>,
 }
 
 struct Task {
     dim: usize,
-    classes: usize,
     split: Split,
     train_epochs: usize,
     ft_epochs: usize,
-    ft_lr: f64,
 }
 
 /// Trains the dense stack, compresses under `budget`, fine-tunes, and
@@ -106,7 +103,7 @@ fn frontier_point(
 ) -> (FrontierPoint, Sequential, Sequential) {
     let hidden = vec![task.dim; hidden_layers];
     let mut rng = seeded_rng(60 + hidden_layers as u64);
-    let mut dense = build_dense_mlp(task.dim, &hidden, task.classes, &mut rng);
+    let mut dense = build_dense_mlp(task.dim, &hidden, CLASSES, &mut rng);
     let report = fit(
         &mut dense,
         &task.split,
@@ -129,7 +126,7 @@ fn frontier_point(
             &task.split,
             &TrainConfig {
                 epochs: task.ft_epochs,
-                lr: task.ft_lr as f32,
+                lr: FT_LR as f32,
                 seed: 62,
                 ..TrainConfig::default()
             },
@@ -166,11 +163,10 @@ fn serve_once(
     stack: Sequential,
     clients: u64,
     per_client: u64,
-    replicas: usize,
 ) -> ServeStats {
     let config = ServeConfig {
         dim: task.dim,
-        classes: task.classes,
+        classes: CLASSES,
         seed: 63,
         max_batch: 32,
         max_wait: Duration::from_micros(200),
@@ -178,7 +174,7 @@ fn serve_once(
         workers: 2,
         // Cache off: every request computes, so throughput is honest.
         cache: CacheConfig::disabled(),
-        replicas,
+        replicas: REPLICAS,
         ..Default::default()
     };
     let server =
@@ -207,18 +203,16 @@ fn serve_once(
 
 fn main() {
     let smoke = smoke_run();
-    let dim = env_usize("BFLY_COMPRESS_DIM", if smoke { 64 } else { 256 });
-    let samples = env_usize("BFLY_COMPRESS_SAMPLES", if smoke { 600 } else { 2400 });
-    let train_epochs = env_usize("BFLY_COMPRESS_TRAIN_EPOCHS", if smoke { 3 } else { 10 });
-    let ft_epochs = env_usize("BFLY_COMPRESS_FT_EPOCHS", if smoke { 5 } else { 30 });
-    let ft_lr = env_f64("BFLY_COMPRESS_FT_LR", 0.01);
-    let clients = env_u64("BFLY_COMPRESS_CLIENTS", if smoke { 4 } else { 16 });
-    let per_client = env_u64("BFLY_COMPRESS_PER_CLIENT", if smoke { 25 } else { 250 });
-    let replicas = 4usize;
+    let dim: usize = if smoke { 64 } else { 256 };
+    let samples: usize = if smoke { 600 } else { 2400 };
+    let train_epochs: usize = if smoke { 3 } else { 10 };
+    let ft_epochs: usize = if smoke { 5 } else { 30 };
+    let clients: u64 = if smoke { 4 } else { 16 };
+    let per_client: u64 = if smoke { 25 } else { 250 };
 
     let spec = SynthSpec {
         dim,
-        num_classes: 10,
+        num_classes: CLASSES,
         samples,
         latent_dim: 24.min(dim / 2),
         latent_noise: 1.2,
@@ -227,14 +221,7 @@ fn main() {
     };
     let data = generate(&spec);
     let mut rng = seeded_rng(59);
-    let task = Task {
-        dim,
-        classes: 10,
-        split: split(data, 0.2, 0.15, &mut rng),
-        train_epochs,
-        ft_epochs,
-        ft_lr,
-    };
+    let task = Task { dim, split: split(data, 0.2, 0.15, &mut rng), train_epochs, ft_epochs };
 
     // Frontier: depth sweep under the permissive budget, plus one
     // tight-budget row demonstrating the budget semantics. The depth-2
@@ -295,16 +282,8 @@ fn main() {
     let (dense, compressed) = serve_stacks.expect("serve depth is always in the sweep");
     println!("serving dense vs compressed at equal offered load ({clients}x{per_client})...");
     let serve = vec![
-        serve_once(&task, "mlp-dense", Method::Baseline, dense, clients, per_client, replicas),
-        serve_once(
-            &task,
-            "mlp-butterfly",
-            Method::Butterfly,
-            compressed,
-            clients,
-            per_client,
-            replicas,
-        ),
+        serve_once(&task, "mlp-dense", Method::Baseline, dense, clients, per_client),
+        serve_once(&task, "mlp-butterfly", Method::Butterfly, compressed, clients, per_client),
     ];
     let srows: Vec<Vec<String>> = serve
         .iter()
@@ -340,16 +319,15 @@ fn main() {
 
     let output = BenchOutput {
         dim,
-        classes: 10,
+        classes: CLASSES,
         samples,
         train_epochs,
         finetune_epochs: ft_epochs,
-        finetune_lr: ft_lr,
+        finetune_lr: FT_LR,
         algo: "hierarchical".to_string(),
         serve_clients: clients,
         serve_per_client: per_client,
-        serve_replicas: replicas,
-        host_cores: host_cores(),
+        serve_replicas: REPLICAS,
         frontier,
         serve,
     };

@@ -22,17 +22,11 @@
 //!    interactive p99 within 2x of the uncontended p99, with every batch
 //!    refusal answered (counted, never dropped).
 //!
-//! Environment knobs: BFLY_INGRESS_DIM (default 4096 — a 16 KiB activation,
-//! the payload size where the copy tax this paper cares about actually
-//! shows up), BFLY_INGRESS_SUBMITS (default 200000), BFLY_INGRESS_POOL
-//! (default 64), BFLY_INGRESS_FRAMES (default 4000),
-//! BFLY_INGRESS_INTERACTIVE (default 800), BFLY_INGRESS_WORKERS (default 2).
-//!
-//! `--smoke` (or BFLY_BENCH_SMOKE=1) runs a tiny version for CI and skips
-//! the JSON write so checked-in numbers always come from a full run.
+//! `--smoke` runs a tiny version for CI and skips the JSON write so
+//! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{env_usize, host_cores, smoke_run};
+use bfly_bench::smoke_run;
 use bfly_core::Method;
 use bfly_serve::ingress::transport::pipe_listener;
 use bfly_serve::ingress::{
@@ -44,6 +38,13 @@ use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Input width of the submit and wire arms: a 16 KiB activation, the
+/// payload size where the copy tax this paper cares about shows up.
+const DIM: usize = 4096;
+const WORKERS: usize = 2;
+/// Distinct inputs the submit arm cycles through.
+const POOL: usize = 64;
 
 fn quantile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -74,9 +75,9 @@ struct SubmitArm {
     shared_accepted: u64,
 }
 
-fn submit_server(dim: usize, workers: usize) -> Server {
+fn submit_server() -> Server {
     let config = ServeConfig {
-        dim,
+        dim: DIM,
         classes: 10,
         seed: 0x1285,
         max_batch: 32,
@@ -85,7 +86,7 @@ fn submit_server(dim: usize, workers: usize) -> Server {
         // the submit path (locate, validate, enqueue-or-shed) plus input
         // preparation — exactly where the copies used to live.
         queue_capacity: 64,
-        workers,
+        workers: WORKERS,
         tensor_cores: false,
         cache: CacheConfig::disabled(),
         ..Default::default()
@@ -93,19 +94,19 @@ fn submit_server(dim: usize, workers: usize) -> Server {
     Server::start(config, &[Method::Butterfly]).expect("dim must fit butterfly")
 }
 
-fn submit_arm(dim: usize, workers: usize, requests: u64, pool_size: usize) -> SubmitArm {
+fn submit_arm(requests: u64) -> SubmitArm {
     use rand::{Rng, SeedableRng};
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF00D);
     let owned_pool: Vec<Vec<f32>> =
-        (0..pool_size).map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
+        (0..POOL).map(|_| (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
     let shared_pool: Vec<Payload> = owned_pool.iter().map(|v| Payload::from(v.clone())).collect();
 
     let run = |shared: bool| -> (f64, u64) {
-        let server = submit_server(dim, workers);
+        let server = submit_server();
         let mut accepted = 0u64;
         let start = Instant::now();
         for i in 0..requests {
-            let slot = (i as usize) % pool_size;
+            let slot = (i as usize) % POOL;
             let outcome = if shared {
                 server.submit("butterfly", 0, i, shared_pool[slot].clone())
             } else {
@@ -125,7 +126,7 @@ fn submit_arm(dim: usize, workers: usize, requests: u64, pool_size: usize) -> Su
     let (shared_submits_per_s, shared_accepted) = run(true);
     SubmitArm {
         requests,
-        pool_size,
+        pool_size: POOL,
         owned_submits_per_s,
         shared_submits_per_s,
         speedup: shared_submits_per_s / owned_submits_per_s,
@@ -156,10 +157,10 @@ struct WireArm {
     zero_copy_frac: f64,
 }
 
-fn wire_arm(dim: usize, frames: u64, chunk_bytes: usize) -> WireArm {
+fn wire_arm(frames: u64, chunk_bytes: usize) -> WireArm {
     let mut stream = Vec::new();
     for s in 0..frames {
-        let payload: Vec<f32> = (0..dim).map(|i| ((s as usize * dim + i) as f32).sin()).collect();
+        let payload: Vec<f32> = (0..DIM).map(|i| ((s as usize * DIM + i) as f32).sin()).collect();
         stream.extend_from_slice(&encode_request(&RequestFrame {
             class: QosClass::Interactive,
             model: "butterfly".to_string(),
@@ -234,9 +235,7 @@ struct QosArm {
 
 const QOS_DIM: usize = 1024;
 
-fn qos_server(
-    workers: usize,
-) -> (Arc<Server>, IngressServer, bfly_serve::ingress::transport::PipeConnector) {
+fn qos_server() -> (Arc<Server>, IngressServer, bfly_serve::ingress::transport::PipeConnector) {
     let config = ServeConfig {
         dim: QOS_DIM,
         classes: 10,
@@ -244,7 +243,7 @@ fn qos_server(
         max_batch: 8,
         max_wait: Duration::from_micros(100),
         queue_capacity: 128,
-        workers,
+        workers: WORKERS,
         tensor_cores: false,
         cache: CacheConfig::disabled(),
         ingress: IngressConfig {
@@ -309,10 +308,10 @@ fn interactive_latencies(
     (latencies, elapsed)
 }
 
-fn qos_arm(workers: usize, interactive_requests: u64) -> QosArm {
+fn qos_arm(interactive_requests: u64) -> QosArm {
     // Uncontended baseline — also calibrates the interactive request rate
     // so the flood can offer a true 10:1 ratio against it.
-    let (server, ingress, connector) = qos_server(workers);
+    let (server, ingress, connector) = qos_server();
     let (uncontended, uncontended_elapsed) =
         interactive_latencies(&connector, interactive_requests);
     ingress.shutdown();
@@ -325,7 +324,7 @@ fn qos_arm(workers: usize, interactive_requests: u64) -> QosArm {
     // sender thread — on a small box more senders just add context
     // switches without changing what the scheduler has to absorb.
     let flood_total = 10 * interactive_requests;
-    let (server, ingress, connector) = qos_server(workers);
+    let (server, ingress, connector) = qos_server();
     let stop = Arc::new(AtomicBool::new(false));
     let flood_thread = {
         let connector = connector.clone();
@@ -397,7 +396,6 @@ fn qos_arm(workers: usize, interactive_requests: u64) -> QosArm {
 
 #[derive(Serialize)]
 struct BenchOutput {
-    host_cores: usize,
     dim: usize,
     workers: usize,
     submit: SubmitArm,
@@ -407,26 +405,23 @@ struct BenchOutput {
 
 fn main() {
     let smoke = smoke_run();
-    let dim = env_usize("BFLY_INGRESS_DIM", 4096);
-    let workers = env_usize("BFLY_INGRESS_WORKERS", 2);
-    let submits = env_usize("BFLY_INGRESS_SUBMITS", if smoke { 5_000 } else { 200_000 }) as u64;
-    let pool = env_usize("BFLY_INGRESS_POOL", 64);
-    let frames = env_usize("BFLY_INGRESS_FRAMES", if smoke { 200 } else { 4_000 }) as u64;
-    let interactive = env_usize("BFLY_INGRESS_INTERACTIVE", if smoke { 40 } else { 800 }) as u64;
+    let submits: u64 = if smoke { 5_000 } else { 200_000 };
+    let frames: u64 = if smoke { 200 } else { 4_000 };
+    let interactive: u64 = if smoke { 40 } else { 800 };
 
     println!(
-        "bench_ingress: dim {dim}, {workers} workers, {submits} offered submits, \
+        "bench_ingress: dim {DIM}, {WORKERS} workers, {submits} offered submits, \
          {frames} wire frames, {interactive} interactive requests{}\n",
         if smoke { " [smoke]" } else { "" }
     );
 
-    let submit = submit_arm(dim, workers, submits, pool);
+    let submit = submit_arm(submits);
     println!(
         "submit path   owned {:>11.0}/s   shared {:>11.0}/s   speedup {:>5.2}x",
         submit.owned_submits_per_s, submit.shared_submits_per_s, submit.speedup
     );
 
-    let wire = wire_arm(dim, frames, 256 << 10);
+    let wire = wire_arm(frames, 256 << 10);
     println!(
         "wire decode   view {:>12.0}/s   copy-out {:>9.0}/s   ratio {:>5.2}x   \
          {:.1} GiB/s   zero-copy {:.1}%",
@@ -437,7 +432,7 @@ fn main() {
         100.0 * wire.zero_copy_frac
     );
 
-    let qos = qos_arm(workers, interactive);
+    let qos = qos_arm(interactive);
     println!(
         "qos isolation alone p50/p99 {:>5}/{:>5} us   flooded p50/p99 {:>5}/{:>5} us   \
          p99 ratio {:>4.2}x   batch admitted/throttled/deferred {}/{}/{}",
@@ -451,7 +446,7 @@ fn main() {
         qos.batch_deferred
     );
 
-    let output = BenchOutput { host_cores: host_cores(), dim, workers, submit, wire, qos };
+    let output = BenchOutput { dim: DIM, workers: WORKERS, submit, wire, qos };
     println!();
     write_bench_json("ingress", &output, smoke);
 }

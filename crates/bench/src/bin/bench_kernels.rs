@@ -1,146 +1,176 @@
 //! bench_kernels — times the fused stage-major butterfly kernels against
-//! the pre-fusion reference implementation (`bfly_bench::legacy`) on
-//! identical inputs, and the lock-free serve forward path against a
-//! mutex-guarded model.
+//! per-row `Butterfly` oracles on identical inputs.
 //!
-//! Four kernel measurements per (n, batch) point:
-//!   * `apply`    — raw transform `B P x` (legacy per-row heap allocation
-//!     vs the fused scratch-arena pass),
-//!   * `train`    — layer forward with stage caching (legacy per-stage
-//!     matrix clones vs the flat arena),
-//!   * `backward` — gradient pass (legacy whole-matrix per-stage sweeps vs
-//!     the fused row-major walk),
-//!   * `infer`    — eval-mode forward (legacy pad + permute + stage
-//!     matrices vs the single fused pass).
+//! Four arms per (n, batch) point, each a per-row oracle (the baseline)
+//! against the fused kernel (the candidate):
+//!   * `apply`    — `Butterfly::apply` on every row vs `apply_batch`,
+//!   * `train`    — `forward_cached` on every row, keeping every row's
+//!     cache as training must, vs `fused_forward_train`,
+//!   * `backward` — `backward_cached` on every row vs `fused_backward`,
+//!   * `infer`    — `apply` on every row plus the bias vs `fused_forward`.
 //!
-//! The serve section runs the same offered load through a
-//! `Mutex<Sequential>` (the pre-PR serialised hot path) and through the
-//! shared `&Sequential` inference path with one scratch arena per thread,
-//! and reports requests/second for each — for a butterfly model and for a
-//! paper-default pixelfly model (whose inference forward is now the fused
-//! allocation-free block-sparse kernel).
+//! The oracles run the same arithmetic as the fused kernels, so every arm
+//! first asserts that the two agree bit for bit (outputs, and for
+//! `backward` also every twiddle gradient) and refuses to time a pair that
+//! does not. Each arm is timed by `bfly_bench::measure`: interleaved
+//! samples, median and quartiles per side, speedup as the ratio of the
+//! medians.
 //!
-//! Results print as tables and are written to `BENCH_kernels.json` at the
-//! workspace root. `BFLY_BENCH_SMOKE=1` runs a seconds-long smoke version
-//! (tiny sizes, few iterations) and skips the JSON write — used by CI to
-//! keep the binary from rotting.
-//!
-//! Environment knobs: BFLY_BENCH_SMOKE (0/1), BFLY_BENCH_ITERS_SCALE
-//! (default 1.0, multiplies iteration counts), BFLY_BENCH_SERVE_THREADS
-//! (default 4), BFLY_BENCH_SERVE_REQUESTS (per thread, default 2000).
+//! Results print as a table of medians and are written to
+//! `BENCH_kernels.json` at the workspace root. `--smoke` runs a
+//! seconds-long version (tiny sizes, few samples) and skips the JSON
+//! write — used by CI to keep the binary from rotting.
 
 use bfly_bench::format_table;
 use bfly_bench::json::write_bench_json;
-use bfly_bench::legacy::{legacy_apply_batch, legacy_backward, legacy_forward, LegacyButterfly};
-use bfly_bench::{env_f64, env_usize, host_cores, smoke_run};
-use bfly_core::{
-    build_shl_inference, fused_backward, fused_forward, fused_forward_train, Butterfly, Method,
-};
-use bfly_nn::{Layer, Sequential};
+use bfly_bench::measure::Arm;
+use bfly_bench::smoke_run;
+use bfly_core::{fused_backward, fused_forward, fused_forward_train, Butterfly};
 use bfly_tensor::{seeded_rng, Matrix, Scratch};
 use serde::Serialize;
 use std::hint::black_box;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct KernelPoint {
     n: usize,
     batch: usize,
-    apply_legacy_us: f64,
-    apply_fused_us: f64,
-    apply_speedup: f64,
-    train_legacy_us: f64,
-    train_fused_us: f64,
-    train_speedup: f64,
-    backward_legacy_us: f64,
-    backward_fused_us: f64,
-    backward_speedup: f64,
-    infer_legacy_us: f64,
-    infer_fused_us: f64,
-    infer_speedup: f64,
-}
-
-#[derive(Serialize)]
-struct ServeComparison {
-    method: String,
-    dim: usize,
-    classes: usize,
-    threads: usize,
-    requests_per_thread: usize,
-    /// Hardware threads on the benchmarking host. With a single core the
-    /// workers serialize and the mutex is never contended, so the
-    /// locked/lock-free ratio only shows a gap on multi-core hosts.
-    host_cores: usize,
-    locked_rps: f64,
-    lock_free_rps: f64,
-    speedup: f64,
+    /// Timed calls per side in every arm.
+    samples: usize,
+    apply: Arm,
+    train: Arm,
+    backward: Arm,
+    infer: Arm,
 }
 
 #[derive(Serialize)]
 struct BenchOutput {
-    host_cores: usize,
     kernels: Vec<KernelPoint>,
-    serve: Vec<ServeComparison>,
 }
 
-/// Mean microseconds per call for a (legacy, fused) pair, measured in
-/// strict alternation (after one untimed warm-up call each) so slow clock
-/// drift — thermal throttling, frequency governors — hits both sides
-/// equally instead of whichever happened to run later.
-fn time_pair_us(iters: usize, mut old: impl FnMut(), mut new: impl FnMut()) -> (f64, f64) {
-    old();
-    new();
-    let mut old_secs = 0.0;
-    let mut new_secs = 0.0;
-    for _ in 0..iters {
-        let t = Instant::now();
-        old();
-        old_secs += t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        new();
-        new_secs += t.elapsed().as_secs_f64();
+/// `Butterfly::apply` on every row of `x`, plus `bias` when given: the
+/// per-row oracle of `apply_batch` (no bias) and `fused_forward`.
+fn oracle_apply(b: &Butterfly, x: &Matrix, bias: Option<&[f32]>) -> Matrix {
+    let mut out = Matrix::zeros(x.rows(), b.n());
+    for r in 0..x.rows() {
+        let y = b.apply(x.row(r));
+        let row = out.row_mut(r);
+        match bias {
+            Some(bias) => {
+                for ((o, v), bb) in row.iter_mut().zip(&y).zip(bias) {
+                    *o = v + bb;
+                }
+            }
+            None => row.copy_from_slice(&y),
+        }
     }
-    (old_secs * 1e6 / iters as f64, new_secs * 1e6 / iters as f64)
+    out
 }
 
-fn speedup(old_us: f64, new_us: f64) -> f64 {
-    if new_us > 0.0 {
-        old_us / new_us
-    } else {
-        0.0
+/// `forward_cached` on every row of `x`, plus `bias`, keeping every row's
+/// stage cache: the per-row oracle of `fused_forward_train`.
+fn oracle_forward_train(b: &Butterfly, x: &Matrix, bias: &[f32]) -> (Matrix, Vec<Vec<Vec<f32>>>) {
+    let mut out = Matrix::zeros(x.rows(), b.n());
+    let mut caches = Vec::with_capacity(x.rows());
+    for r in 0..x.rows() {
+        let (y, cache) = b.forward_cached(x.row(r));
+        for ((o, v), bb) in out.row_mut(r).iter_mut().zip(&y).zip(bias) {
+            *o = v + bb;
+        }
+        caches.push(cache);
+    }
+    (out, caches)
+}
+
+/// `backward_cached` on every row of `grad`, accumulating the twiddle
+/// gradients into `grad_twiddles`: the per-row oracle of `fused_backward`.
+fn oracle_backward(
+    b: &Butterfly,
+    caches: &[Vec<Vec<f32>>],
+    grad: &Matrix,
+    grad_twiddles: &mut [Vec<f32>],
+) -> Matrix {
+    let mut dx = Matrix::zeros(grad.rows(), b.n());
+    for (r, cache) in caches.iter().enumerate() {
+        dx.row_mut(r).copy_from_slice(&b.backward_cached(cache, grad.row(r), grad_twiddles));
+    }
+    dx
+}
+
+fn zero_twiddle_grads(b: &Butterfly) -> Vec<Vec<f32>> {
+    b.factors.iter().map(|f| vec![0.0; f.twiddles.len()]).collect()
+}
+
+/// Panics unless `oracle` and `fused` agree in every bit.
+fn assert_bit_identical(what: &str, n: usize, batch: usize, oracle: &[f32], fused: &[f32]) {
+    assert_eq!(oracle.len(), fused.len(), "{what} at n {n} batch {batch}: length differs");
+    let differs = oracle.iter().zip(fused).position(|(o, f)| o.to_bits() != f.to_bits());
+    if let Some(i) = differs {
+        panic!(
+            "{what} at n {n} batch {batch}: fused {} differs from the per-row oracle {} at {i}; \
+             refusing to time it",
+            fused[i], oracle[i]
+        );
     }
 }
 
-fn bench_point(n: usize, batch: usize, iters_scale: f64) -> KernelPoint {
+fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
     let mut rng = seeded_rng(0xF00D + n as u64);
     let b = Butterfly::random(n, &mut rng);
-    let mut lb = LegacyButterfly::from_butterfly(&b);
     let x = Matrix::random_uniform(batch, n, 1.0, &mut rng);
     let bias = vec![0.01f32; n];
-
-    // Budget iterations by work so every point takes a comparable slice of
-    // wall clock: ~50M touched elements per measurement at scale 1.
-    let work = (n * batch * n.trailing_zeros() as usize).max(1);
-    let iters = (((50_000_000.0 * iters_scale) / work as f64) as usize).clamp(3, 200);
-
     let mut scratch = Scratch::new();
     let mut arena = Vec::new();
 
-    let (apply_legacy_us, apply_fused_us) = time_pair_us(
-        iters,
+    // Every fused result must equal its oracle bit for bit before either
+    // side is timed.
+    let check = |what: &str, oracle: &[f32], fused: &[f32]| {
+        assert_bit_identical(what, n, batch, oracle, fused);
+    };
+    check("apply", oracle_apply(&b, &x, None).as_slice(), b.apply_batch(&x).as_slice());
+    check(
+        "infer",
+        oracle_apply(&b, &x, Some(&bias)).as_slice(),
+        fused_forward(&x, &b.perm, &b.factors, &bias, &mut scratch).as_slice(),
+    );
+    // Backward consumes the forward caches; both sides keep theirs from
+    // this untimed pass (the caches are read-only for backward).
+    let (y, caches) = oracle_forward_train(&b, &x, &bias);
+    let fused_y = fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
+    check("train", y.as_slice(), fused_y.as_slice());
+    let mut oracle_gt = zero_twiddle_grads(&b);
+    let mut fused_gt = zero_twiddle_grads(&b);
+    let accumulate = |gt: &mut [Vec<f32>], s: usize, flat: &[f32]| {
+        for (acc, v) in gt[s].iter_mut().zip(flat) {
+            *acc += v;
+        }
+    };
+    let oracle_dx = oracle_backward(&b, &caches, &y, &mut oracle_gt);
+    let fused_dx = fused_backward(&y, &b.perm, &b.factors, &arena, n, |s, flat| {
+        accumulate(&mut fused_gt, s, flat);
+    });
+    check("backward dX", oracle_dx.as_slice(), fused_dx.as_slice());
+    for (s, (o, f)) in oracle_gt.iter().zip(&fused_gt).enumerate() {
+        check(&format!("backward twiddle grad {s}"), o, f);
+    }
+
+    // Budget samples by work so every point takes a comparable slice of
+    // wall clock.
+    let work = (n * batch * n.trailing_zeros() as usize).max(1);
+    let samples = ((work_budget / work as f64) as usize).clamp(10, 200);
+
+    let apply = Arm::time(
+        samples,
         || {
-            black_box(legacy_apply_batch(&lb, &x));
+            black_box(oracle_apply(&b, &x, None));
         },
         || {
             black_box(b.apply_batch(&x));
         },
     );
-
-    let (train_legacy_us, train_fused_us) = time_pair_us(
-        iters,
+    let train = Arm::time(
+        samples,
         || {
-            black_box(legacy_forward(&mut lb, &x, &bias, n, true));
+            black_box(oracle_forward_train(&b, &x, &bias));
         },
         || {
             black_box(fused_forward_train(
@@ -153,184 +183,58 @@ fn bench_point(n: usize, batch: usize, iters_scale: f64) -> KernelPoint {
             ));
         },
     );
-
-    // Backward consumes forward caches; build each once outside the timed
-    // loop (the caches are read-only for backward).
-    let (y, cache) = legacy_forward(&mut lb, &x, &bias, n, true);
-    let _ = fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
-    let mut legacy_gt: Vec<Vec<f32>> =
-        b.factors.iter().map(|f| vec![0.0; f.twiddles.len()]).collect();
-    let mut fused_gt: Vec<Vec<f32>> =
-        b.factors.iter().map(|f| vec![0.0; f.twiddles.len()]).collect();
-    let (backward_legacy_us, backward_fused_us) = time_pair_us(
-        iters,
+    let backward = Arm::time(
+        samples,
         || {
-            black_box(legacy_backward(&lb, &y, &cache, n, &mut legacy_gt));
+            black_box(oracle_backward(&b, &caches, &y, &mut oracle_gt));
         },
         || {
             black_box(fused_backward(&y, &b.perm, &b.factors, &arena, n, |s, flat| {
-                for (acc, v) in fused_gt[s].iter_mut().zip(flat) {
-                    *acc += v;
-                }
+                accumulate(&mut fused_gt, s, flat);
             }));
         },
     );
-
-    let (infer_legacy_us, infer_fused_us) = time_pair_us(
-        iters,
+    let infer = Arm::time(
+        samples,
         || {
-            black_box(legacy_forward(&mut lb, &x, &bias, n, false));
+            black_box(oracle_apply(&b, &x, Some(&bias)));
         },
         || {
             black_box(fused_forward(&x, &b.perm, &b.factors, &bias, &mut scratch));
         },
     );
-
-    KernelPoint {
-        n,
-        batch,
-        apply_legacy_us,
-        apply_fused_us,
-        apply_speedup: speedup(apply_legacy_us, apply_fused_us),
-        train_legacy_us,
-        train_fused_us,
-        train_speedup: speedup(train_legacy_us, train_fused_us),
-        backward_legacy_us,
-        backward_fused_us,
-        backward_speedup: speedup(backward_legacy_us, backward_fused_us),
-        infer_legacy_us,
-        infer_fused_us,
-        infer_speedup: speedup(infer_legacy_us, infer_fused_us),
-    }
-}
-
-/// One round of the mutex-serialised hot path: every request takes the lock
-/// and runs an exclusive forward, as the pre-PR server did.
-fn run_locked(model: &Arc<Mutex<Sequential>>, x: &Matrix, threads: usize, reqs: usize) -> f64 {
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let model = Arc::clone(model);
-            let x = x.clone();
-            s.spawn(move || {
-                for _ in 0..reqs {
-                    let mut m = model.lock().expect("not poisoned");
-                    black_box(m.forward(&x, false));
-                }
-            });
-        }
-    });
-    start.elapsed().as_secs_f64()
-}
-
-/// One round of the lock-free hot path: the frozen model is shared through a
-/// plain `Arc` and every thread owns its scratch arena.
-fn run_lock_free(model: &Arc<Sequential>, x: &Matrix, threads: usize, reqs: usize) -> f64 {
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let model = Arc::clone(model);
-            let x = x.clone();
-            s.spawn(move || {
-                let mut scratch = Scratch::new();
-                for _ in 0..reqs {
-                    black_box(model.forward_inference(&x, &mut scratch));
-                }
-            });
-        }
-    });
-    start.elapsed().as_secs_f64()
-}
-
-/// Offered-load comparison: every thread hammers the same model with
-/// single-row requests, once through a mutex (the pre-PR serialised path)
-/// and once lock-free. The two variants run in alternating rounds (same
-/// drift argument as [`time_pair_us`]); the models are seed-identical.
-fn bench_serve(
-    method: Method,
-    dim: usize,
-    threads: usize,
-    requests_per_thread: usize,
-) -> ServeComparison {
-    let classes = 10;
-    let seed = 0x5EE5;
-    let mut rng = seeded_rng(seed);
-    let locked = Arc::new(Mutex::new(
-        build_shl_inference(method, dim, classes, &mut rng).expect("method fits the bench dim"),
-    ));
-    let mut rng = seeded_rng(seed);
-    let free = Arc::new(
-        build_shl_inference(method, dim, classes, &mut rng).expect("method fits the bench dim"),
-    );
-    let x = Matrix::random_uniform(1, dim, 1.0, &mut rng);
-
-    const ROUNDS: usize = 4;
-    let per_round = (requests_per_thread / ROUNDS).max(1);
-    // Warm-up round each, untimed.
-    run_locked(&locked, &x, threads, per_round);
-    run_lock_free(&free, &x, threads, per_round);
-    let mut locked_secs = 0.0;
-    let mut lock_free_secs = 0.0;
-    for _ in 0..ROUNDS {
-        locked_secs += run_locked(&locked, &x, threads, per_round);
-        lock_free_secs += run_lock_free(&free, &x, threads, per_round);
-    }
-
-    let total = (threads * per_round * ROUNDS) as f64;
-    let locked_rps = total / locked_secs;
-    let lock_free_rps = total / lock_free_secs;
-    ServeComparison {
-        method: method.label().to_string(),
-        dim,
-        classes,
-        threads,
-        requests_per_thread,
-        host_cores: host_cores(),
-        locked_rps,
-        lock_free_rps,
-        speedup: speedup(1.0 / locked_rps, 1.0 / lock_free_rps),
-    }
+    KernelPoint { n, batch, samples, apply, train, backward, infer }
 }
 
 fn main() {
     let smoke = smoke_run();
-    let iters_scale = if smoke { 0.001 } else { env_f64("BFLY_BENCH_ITERS_SCALE", 1.0) };
+    // Touched elements per measurement the sample count is budgeted by.
+    let work_budget = if smoke { 50_000.0 } else { 50_000_000.0 };
     let (sizes, batches): (&[usize], &[usize]) =
         if smoke { (&[64, 256], &[1, 8]) } else { (&[256, 1024, 4096], &[1, 8, 32, 128]) };
-    let serve_threads = env_usize("BFLY_BENCH_SERVE_THREADS", if smoke { 2 } else { 4 });
-    let serve_requests = env_usize("BFLY_BENCH_SERVE_REQUESTS", if smoke { 50 } else { 2000 });
 
     println!(
-        "bench_kernels: legacy vs fused butterfly kernels{}\n",
+        "bench_kernels: per-row Butterfly oracles vs fused butterfly kernels, median us{}\n",
         if smoke { " (smoke mode)" } else { "" }
     );
 
     let mut points = Vec::new();
     for &n in sizes {
         for &batch in batches {
-            points.push(bench_point(n, batch, iters_scale));
+            points.push(bench_point(n, batch, work_budget));
         }
     }
 
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
-            vec![
-                p.n.to_string(),
-                p.batch.to_string(),
-                format!("{:.1}", p.apply_legacy_us),
-                format!("{:.1}", p.apply_fused_us),
-                format!("{:.2}x", p.apply_speedup),
-                format!("{:.1}", p.train_legacy_us),
-                format!("{:.1}", p.train_fused_us),
-                format!("{:.2}x", p.train_speedup),
-                format!("{:.1}", p.backward_legacy_us),
-                format!("{:.1}", p.backward_fused_us),
-                format!("{:.2}x", p.backward_speedup),
-                format!("{:.1}", p.infer_legacy_us),
-                format!("{:.1}", p.infer_fused_us),
-                format!("{:.2}x", p.infer_speedup),
-            ]
+            let mut row = vec![p.n.to_string(), p.batch.to_string()];
+            for arm in [&p.apply, &p.train, &p.backward, &p.infer] {
+                row.push(format!("{:.1}", arm.baseline.median_us));
+                row.push(format!("{:.1}", arm.candidate.median_us));
+                row.push(format!("{:.2}x", arm.speedup));
+            }
+            row
         })
         .collect();
     println!(
@@ -339,46 +243,22 @@ fn main() {
             &[
                 "n",
                 "batch",
-                "apply old",
-                "new",
+                "apply oracle",
+                "fused",
                 "x",
-                "train old",
-                "new",
+                "train oracle",
+                "fused",
                 "x",
-                "bwd old",
-                "new",
+                "bwd oracle",
+                "fused",
                 "x",
-                "infer old",
-                "new",
+                "infer oracle",
+                "fused",
                 "x",
             ],
             &rows
         )
     );
 
-    // Butterfly plus pixelfly (paper-default config, valid at dim 256):
-    // the serve hot path must be lock-free for both now that pixelfly's
-    // inference forward is fused and allocation-free.
-    let serve_methods =
-        [Method::Butterfly, Method::Pixelfly(bfly_core::PixelflyConfig::paper_default())];
-    let serve: Vec<ServeComparison> =
-        serve_methods.iter().map(|&m| bench_serve(m, 256, serve_threads, serve_requests)).collect();
-    for s in &serve {
-        println!(
-            "serve {} ({} threads x {} reqs, dim {}, {} host cores): mutex {:.0} rps, \
-             lock-free {:.0} rps ({:.2}x)",
-            s.method,
-            s.threads,
-            s.requests_per_thread,
-            s.dim,
-            s.host_cores,
-            s.locked_rps,
-            s.lock_free_rps,
-            s.speedup,
-        );
-    }
-
-    let output = BenchOutput { host_cores: host_cores(), kernels: points, serve };
-    println!();
-    write_bench_json("kernels", &output, smoke);
+    write_bench_json("kernels", &BenchOutput { kernels: points }, smoke);
 }

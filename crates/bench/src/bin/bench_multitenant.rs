@@ -15,18 +15,11 @@
 //!   plus the collective launch), and the hit-rate and p99 fall off a
 //!   cliff together.
 //!
-//! Environment knobs: BFLY_MT_DIM (default 256), BFLY_MT_BUDGET_KB
-//! (per-replica SRAM budget, default 1024), BFLY_MT_TENANTS (default 4),
-//! BFLY_MT_ZIPF (popularity exponent, default 1.0), BFLY_MT_CLIENTS
-//! (default 8), BFLY_MT_PER_CLIENT (default 150), BFLY_MT_POLICY (lru |
-//! cost-aware, default lru), BFLY_MT_TRACE (pre-sampled trace length,
-//! default 512).
-//!
-//! `--smoke` (or BFLY_BENCH_SMOKE=1) runs a tiny sweep for CI and skips the
-//! JSON write so checked-in numbers always come from a full run.
+//! `--smoke` runs a tiny sweep for CI and skips the JSON write so
+//! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{env_f64, env_u64, env_usize, host_cores, smoke_run};
+use bfly_bench::smoke_run;
 use bfly_core::Method;
 use bfly_serve::{
     Arrivals, CacheConfig, LoadPlan, ModelSpec, ResidencyConfig, ResidencyPolicy, ServeConfig,
@@ -36,6 +29,17 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::time::Duration;
+
+const DIM: usize = 256;
+const CLASSES: usize = 10;
+/// Per-replica SRAM budget, bytes.
+const BUDGET: u64 = 1024 * 1024;
+const POLICY: ResidencyPolicy = ResidencyPolicy::Lru;
+const TENANTS: usize = 4;
+/// Zipf popularity exponent of the model trace.
+const ZIPF: f64 = 1.0;
+/// Length of the pre-sampled model trace.
+const TRACE_LEN: usize = 512;
 
 #[derive(Serialize)]
 struct RunStats {
@@ -70,7 +74,6 @@ struct RunStats {
 
 #[derive(Serialize)]
 struct BenchOutput {
-    host_cores: usize,
     dim: usize,
     classes: usize,
     sram_budget_bytes: u64,
@@ -84,30 +87,25 @@ struct BenchOutput {
     results: Vec<RunStats>,
 }
 
-struct Workload {
-    dim: usize,
-    budget: u64,
-    policy: ResidencyPolicy,
-    tenants: usize,
-    zipf: f64,
+/// The closed-loop load, the part of the workload `--smoke` shrinks.
+struct Load {
     clients: u64,
     per_client: u64,
-    trace_len: usize,
 }
 
 /// One fleet at one budget: `models` instances of `method`, tenants
 /// assigned round-robin, loaded with a seeded Zipf-skewed trace.
-fn run_once(w: &Workload, method: Method, models: usize) -> RunStats {
+fn run_once(load: &Load, method: Method, models: usize) -> RunStats {
     let specs: Vec<ModelSpec> = (0..models)
-        .map(|i| ModelSpec::named(&format!("m{i:03}"), method, &format!("tenant{}", i % w.tenants)))
+        .map(|i| ModelSpec::named(&format!("m{i:03}"), method, &format!("tenant{}", i % TENANTS)))
         .collect();
     let config = ServeConfig {
-        dim: w.dim,
-        classes: 10,
+        dim: DIM,
+        classes: CLASSES,
         seed: 0x7E4A,
         max_batch: 4,
         max_wait: Duration::from_micros(200),
-        queue_capacity: (w.clients as usize * 4).max(256),
+        queue_capacity: (load.clients as usize * 4).max(256),
         workers: 2,
         // Cache off: every request computes and touches the residency
         // manager, so hit rates and paged bytes reflect the weight working
@@ -116,18 +114,18 @@ fn run_once(w: &Workload, method: Method, models: usize) -> RunStats {
         // One replica: density and thrash are per-SRAM-budget phenomena;
         // more replicas would just replicate the same curve.
         replicas: 1,
-        residency: ResidencyConfig { policy: w.policy, ..ResidencyConfig::with_budget(w.budget) },
+        residency: ResidencyConfig { policy: POLICY, ..ResidencyConfig::with_budget(BUDGET) },
         ..Default::default()
     };
     let server = Server::start(config, specs).expect("valid fleet");
 
     // Pre-sample the Zipf-skewed model trace once, seeded, so butterfly and
     // dense fleets of the same size see the *identical* popularity pattern.
-    let sampler = ZipfSampler::new(models, w.zipf);
+    let sampler = ZipfSampler::new(models, ZIPF);
     let mut rng = ChaCha8Rng::seed_from_u64(0x21F5);
-    let trace = (0..w.trace_len).map(|_| format!("m{:03}", sampler.sample(&mut rng))).collect();
+    let trace = (0..TRACE_LEN).map(|_| format!("m{:03}", sampler.sample(&mut rng))).collect();
 
-    let arrivals = Arrivals::Closed { clients: w.clients, per_client: w.per_client };
+    let arrivals = Arrivals::Closed { clients: load.clients, per_client: load.per_client };
     let report =
         LoadPlan { models: trace, arrivals, seed: 0xFEED, pool: 64, slo_sim_us: None }.run(&server);
     let snapshot = server.shutdown();
@@ -136,13 +134,13 @@ fn run_once(w: &Workload, method: Method, models: usize) -> RunStats {
         // A tenant is "resident" when at least one of its models ended the
         // run in SRAM: misses < touches means the model was resident at
         // some point, but the end-state count comes from per-model stats.
-        let mut seen = vec![false; w.tenants];
+        let mut seen = [false; TENANTS];
         for (i, m) in snapshot.models.iter().enumerate() {
             // End-of-run residency is not exported per model; approximate
             // by "hit at least once", which a never-resident (stream-through
             // or never-touched) model cannot satisfy.
             if m.residency_hits > 0 {
-                seen[i % w.tenants] = true;
+                seen[i % TENANTS] = true;
             }
         }
         seen.iter().filter(|&&s| s).count()
@@ -170,31 +168,20 @@ fn run_once(w: &Workload, method: Method, models: usize) -> RunStats {
 
 fn main() {
     let smoke = smoke_run();
-    let workload = Workload {
-        dim: env_usize("BFLY_MT_DIM", 256),
-        budget: env_u64("BFLY_MT_BUDGET_KB", 1024) * 1024,
-        policy: match std::env::var("BFLY_MT_POLICY").as_deref() {
-            Ok("cost-aware") => ResidencyPolicy::CostAware,
-            _ => ResidencyPolicy::Lru,
-        },
-        tenants: env_usize("BFLY_MT_TENANTS", 4),
-        zipf: env_f64("BFLY_MT_ZIPF", 1.0),
-        clients: env_u64("BFLY_MT_CLIENTS", if smoke { 4 } else { 8 }),
-        per_client: env_u64("BFLY_MT_PER_CLIENT", if smoke { 20 } else { 150 }),
-        trace_len: env_usize("BFLY_MT_TRACE", 512),
+    let load = if smoke {
+        Load { clients: 4, per_client: 20 }
+    } else {
+        Load { clients: 8, per_client: 150 }
     };
     let fleet_sizes: Vec<usize> = if smoke { vec![4, 8] } else { vec![8, 32, 96] };
 
     println!(
-        "bench_multitenant: dim {}, budget {} KiB, policy {}, {} tenants, zipf {}, \
+        "bench_multitenant: dim {DIM}, budget {} KiB, policy {}, {TENANTS} tenants, zipf {ZIPF}, \
          {} clients x {} requests{}\n",
-        workload.dim,
-        workload.budget / 1024,
-        workload.policy.label(),
-        workload.tenants,
-        workload.zipf,
-        workload.clients,
-        workload.per_client,
+        BUDGET / 1024,
+        POLICY.label(),
+        load.clients,
+        load.per_client,
         if smoke { " [smoke]" } else { "" }
     );
     println!(
@@ -214,7 +201,7 @@ fn main() {
     let mut results = Vec::new();
     for &models in &fleet_sizes {
         for &method in &[Method::Butterfly, Method::Baseline] {
-            let stats = run_once(&workload, method, models);
+            let stats = run_once(&load, method, models);
             println!(
                 "{:>10} {:>6} {:>10} {:>9} {:>8} {:>9.3} {:>10} {:>12.0} {:>12.2} {:>12.2}",
                 stats.method,
@@ -233,16 +220,15 @@ fn main() {
     }
 
     let output = BenchOutput {
-        host_cores: host_cores(),
-        dim: workload.dim,
-        classes: 10,
-        sram_budget_bytes: workload.budget,
-        policy: workload.policy.label().to_string(),
-        tenants: workload.tenants,
-        zipf_exponent: workload.zipf,
-        clients: workload.clients,
-        per_client: workload.per_client,
-        trace_len: workload.trace_len,
+        dim: DIM,
+        classes: CLASSES,
+        sram_budget_bytes: BUDGET,
+        policy: POLICY.label().to_string(),
+        tenants: TENANTS,
+        zipf_exponent: ZIPF,
+        clients: load.clients,
+        per_client: load.per_client,
+        trace_len: TRACE_LEN,
         fleet_sizes,
         results,
     };

@@ -16,22 +16,25 @@
 //! block-sparse + low-rank) rides the same sweep now that its serve path
 //! is allocation-free.
 //!
-//! Environment knobs: BFLY_POD_DIM (default 256), BFLY_POD_CLIENTS (default
-//! 16), BFLY_POD_PER_CLIENT (default 250), BFLY_POD_WORKERS (default 2),
-//! BFLY_POD_BATCH (default 32), BFLY_POD_POOL (input-reuse pool size,
-//! default 64), BFLY_POD_ROUTING (rr | p2c | jsq, default p2c).
-//!
-//! `--smoke` (or BFLY_BENCH_SMOKE=1) runs a tiny sweep for CI and skips the
-//! JSON write so checked-in numbers always come from a full run.
+//! `--smoke` runs a tiny sweep for CI and skips the JSON write so
+//! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{env_u64, env_usize, host_cores, smoke_run};
+use bfly_bench::{host_cores, smoke_run};
 use bfly_core::{Method, PixelflyConfig};
 use bfly_serve::{
     Arrivals, CacheConfig, LoadPlan, LoadReport, ReplicaStats, Routing, ServeConfig, Server,
 };
 use serde::Serialize;
 use std::time::Duration;
+
+const DIM: usize = 256;
+const CLASSES: usize = 10;
+const WORKERS: usize = 2;
+const MAX_BATCH: usize = 32;
+/// Distinct inputs the closed-loop clients cycle through.
+const POOL: usize = 64;
+const ROUTING: Routing = Routing::PowerOfTwoChoices;
 
 #[derive(Serialize)]
 struct RunStats {
@@ -64,7 +67,6 @@ struct BenchOutput {
     dim: usize,
     classes: usize,
     workers: usize,
-    host_cores: usize,
     clients: u64,
     per_client: u64,
     max_batch: usize,
@@ -74,40 +76,36 @@ struct BenchOutput {
     results: Vec<RunStats>,
 }
 
-struct Workload {
-    dim: usize,
-    workers: usize,
-    max_batch: usize,
+/// The closed-loop load, the part of the workload `--smoke` shrinks.
+struct Load {
     clients: u64,
     per_client: u64,
-    pool: usize,
-    routing: Routing,
 }
 
-fn run_once(w: &Workload, method: Method, replicas: usize) -> (LoadReport, RunStats) {
+fn run_once(load: &Load, method: Method, replicas: usize) -> (LoadReport, RunStats) {
     let config = ServeConfig {
-        dim: w.dim,
-        classes: 10,
+        dim: DIM,
+        classes: CLASSES,
         seed: 0xB0D5,
-        max_batch: w.max_batch,
+        max_batch: MAX_BATCH,
         max_wait: Duration::from_micros(200),
         // Deep enough that the closed loop never spins on sheds.
-        queue_capacity: (w.clients as usize * 4).max(256),
-        workers: w.workers,
+        queue_capacity: (load.clients as usize * 4).max(256),
+        workers: WORKERS,
         tensor_cores: false,
         // Cache off: every request must compute, so completed requests map
         // 1:1 onto simulated device work and the scaling number is honest.
         cache: CacheConfig::disabled(),
         replicas,
-        routing: w.routing,
+        routing: ROUTING,
         ..Default::default()
     };
     let name = method.label().to_lowercase();
     let server = Server::start(config, &[method]).expect("dim must fit the method");
-    let arrivals = Arrivals::Closed { clients: w.clients, per_client: w.per_client };
+    let arrivals = Arrivals::Closed { clients: load.clients, per_client: load.per_client };
     let models = vec![name.clone()];
     let report =
-        LoadPlan { models, arrivals, seed: 0xBEE5, pool: w.pool, slo_sim_us: None }.run(&server);
+        LoadPlan { models, arrivals, seed: 0xBEE5, pool: POOL, slo_sim_us: None }.run(&server);
     let snapshot = server.shutdown();
     let makespan_us = snapshot.pod_makespan_us;
     let sim_throughput =
@@ -132,31 +130,20 @@ fn run_once(w: &Workload, method: Method, replicas: usize) -> (LoadReport, RunSt
 
 fn main() {
     let smoke = smoke_run();
-    let workload = Workload {
-        dim: env_usize("BFLY_POD_DIM", 256),
-        workers: env_usize("BFLY_POD_WORKERS", 2),
-        max_batch: env_usize("BFLY_POD_BATCH", 32),
-        clients: env_u64("BFLY_POD_CLIENTS", if smoke { 4 } else { 16 }),
-        per_client: env_u64("BFLY_POD_PER_CLIENT", if smoke { 25 } else { 250 }),
-        pool: env_usize("BFLY_POD_POOL", 64),
-        routing: std::env::var("BFLY_POD_ROUTING")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default(),
+    let load = if smoke {
+        Load { clients: 4, per_client: 25 }
+    } else {
+        Load { clients: 16, per_client: 250 }
     };
-    let host_cores = host_cores();
     let pod_sizes: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4, 8] };
 
     println!(
-        "bench_pod: dim {}, {} clients x {} requests, batch {}, {} workers, \
+        "bench_pod: dim {DIM}, {} clients x {} requests, batch {MAX_BATCH}, {WORKERS} workers, \
          routing {}, host cores {}{}\n",
-        workload.dim,
-        workload.clients,
-        workload.per_client,
-        workload.max_batch,
-        workload.workers,
-        workload.routing.label(),
-        host_cores,
+        load.clients,
+        load.per_client,
+        ROUTING.label(),
+        host_cores(),
         if smoke { " [smoke]" } else { "" }
     );
     println!(
@@ -178,7 +165,7 @@ fn main() {
     for &method in &methods {
         let mut base_throughput = 0.0f64;
         for &replicas in &pod_sizes {
-            let (_, mut stats) = run_once(&workload, method, replicas);
+            let (_, mut stats) = run_once(&load, method, replicas);
             if replicas == 1 {
                 base_throughput = stats.sim_throughput_rps;
             }
@@ -207,15 +194,14 @@ fn main() {
 
     println!();
     let output = BenchOutput {
-        dim: workload.dim,
-        classes: 10,
-        workers: workload.workers,
-        host_cores,
-        clients: workload.clients,
-        per_client: workload.per_client,
-        max_batch: workload.max_batch,
-        input_pool: workload.pool,
-        routing: workload.routing.label().to_string(),
+        dim: DIM,
+        classes: CLASSES,
+        workers: WORKERS,
+        clients: load.clients,
+        per_client: load.per_client,
+        max_batch: MAX_BATCH,
+        input_pool: POOL,
+        routing: ROUTING.label().to_string(),
         pod_sizes,
         results,
     };

@@ -10,15 +10,11 @@
 //!
 //! Environment knobs: BFLY_SAMPLES (default 2500), BFLY_EPOCHS (default 6).
 
-use bfly_bench::format_table;
+use bfly_bench::{env_usize, format_table};
 use bfly_core::{build_shl, shl_param_count, Method, PixelflyConfig};
 use bfly_data::{generate, split, SynthSpec};
 use bfly_nn::{fit, TrainConfig};
 use bfly_tensor::seeded_rng;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 fn main() {
     let samples = env_usize("BFLY_SAMPLES", 2500);

@@ -11,21 +11,27 @@
 //! written to `BENCH_serve.json` so later runs can track serving
 //! performance.
 //!
-//! The default serving dimension is 256 (an embedding-sized model, the
-//! dispatch-bound regime where batching matters); BFLY_SERVE_DIM=1024 runs
-//! the Table 4 shape, where the compressed forward pass itself is large
-//! enough that the batching win shrinks.
+//! The serving dimension is 256 (an embedding-sized model, the
+//! dispatch-bound regime where batching matters); the repository
+//! benchmark's dim-1024 `serve_*` workloads serve the Table 4 shape.
 //!
-//! Environment knobs: BFLY_SERVE_DIM (default 256), BFLY_SERVE_REQUESTS
-//! (default 4000), BFLY_SERVE_RATE (offered requests/s, default 1e6 ~
-//! burst), BFLY_SERVE_BATCH (default 32), BFLY_SERVE_WORKERS (default 2).
+//! `--smoke` offers a few hundred requests for CI and skips the JSON write
+//! so checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{env_f64, env_usize, host_cores};
+use bfly_bench::smoke_run;
 use bfly_core::{Method, PixelflyConfig};
 use bfly_serve::{Arrivals, CacheConfig, LoadPlan, LoadReport, ServeConfig, Server};
 use serde::Serialize;
 use std::time::Duration;
+
+const DIM: usize = 256;
+const CLASSES: usize = 10;
+/// Offered requests/s: far above capacity, i.e. a burst.
+const RATE: f64 = 1e6;
+/// `max_batch` of the batched run (the other run uses 1).
+const MAX_BATCH: usize = 32;
+const WORKERS: usize = 2;
 
 #[derive(Serialize)]
 struct RunStats {
@@ -68,7 +74,6 @@ struct MethodResult {
 
 #[derive(Serialize)]
 struct BenchOutput {
-    host_cores: usize,
     dim: usize,
     classes: usize,
     workers: usize,
@@ -76,22 +81,15 @@ struct BenchOutput {
     results: Vec<MethodResult>,
 }
 
-fn run_once(
-    method: Method,
-    dim: usize,
-    max_batch: usize,
-    workers: usize,
-    requests: u64,
-    rate: f64,
-) -> LoadReport {
+fn run_once(method: Method, max_batch: usize, requests: u64) -> LoadReport {
     let config = ServeConfig {
-        dim,
-        classes: 10,
+        dim: DIM,
+        classes: CLASSES,
         seed: 0x5E127E,
         max_batch,
         max_wait: Duration::from_micros(200),
         queue_capacity: 512,
-        workers,
+        workers: WORKERS,
         tensor_cores: false,
         // This bench isolates the *batching* win; the response cache would
         // dedupe the pooled inputs and measure the cache instead (that
@@ -99,9 +97,9 @@ fn run_once(
         cache: CacheConfig::disabled(),
         ..Default::default()
     };
-    let server = Server::start(config, &[method]).expect("BFLY_SERVE_DIM must fit every method");
+    let server = Server::start(config, &[method]).expect("DIM fits every method");
     let models = server.model_names();
-    let arrivals = Arrivals::Poisson { rate_hz: rate, total: requests };
+    let arrivals = Arrivals::Poisson { rate_hz: RATE, total: requests };
     let report =
         LoadPlan { models, arrivals, seed: 0xBEE5, pool: 32, slo_sim_us: None }.run(&server);
     server.shutdown();
@@ -109,18 +107,16 @@ fn run_once(
 }
 
 fn main() {
-    let dim = env_usize("BFLY_SERVE_DIM", 256);
-    let requests = env_usize("BFLY_SERVE_REQUESTS", 4000) as u64;
-    let rate = env_f64("BFLY_SERVE_RATE", 1e6);
-    let max_batch = env_usize("BFLY_SERVE_BATCH", 32);
-    let workers = env_usize("BFLY_SERVE_WORKERS", 2);
+    let smoke = smoke_run();
+    let requests: u64 = if smoke { 400 } else { 4000 };
 
     let methods =
         [Method::Baseline, Method::Butterfly, Method::Pixelfly(PixelflyConfig::paper_default())];
 
     println!(
-        "serve_throughput: dim {dim}, {requests} requests offered at {rate:.0} rps, \
-         batch-1 vs batch-{max_batch} ({workers} workers)\n"
+        "serve_throughput: dim {DIM}, {requests} requests offered at {RATE:.0} rps, \
+         batch-1 vs batch-{MAX_BATCH} ({WORKERS} workers){}\n",
+        if smoke { " [smoke]" } else { "" }
     );
     println!(
         "{:<10} {:>12} {:>12} {:>8} {:>10} {:>10} {:>10} {:>8}",
@@ -129,8 +125,8 @@ fn main() {
 
     let mut results = Vec::new();
     for method in methods {
-        let r1 = run_once(method, dim, 1, workers, requests, rate);
-        let rb = run_once(method, dim, max_batch, workers, requests, rate);
+        let r1 = run_once(method, 1, requests);
+        let rb = run_once(method, MAX_BATCH, requests);
         let speedup =
             if r1.throughput_rps > 0.0 { rb.throughput_rps / r1.throughput_rps } else { 0.0 };
         println!(
@@ -148,19 +144,18 @@ fn main() {
             model: method.label().to_ascii_lowercase(),
             offered_requests: requests,
             batch1: RunStats::from_report(1, &r1),
-            batched: RunStats::from_report(max_batch, &rb),
+            batched: RunStats::from_report(MAX_BATCH, &rb),
             speedup,
         });
     }
 
     let output = BenchOutput {
-        host_cores: host_cores(),
-        dim,
-        classes: 10,
-        workers,
-        offered_rate_rps: rate,
+        dim: DIM,
+        classes: CLASSES,
+        workers: WORKERS,
+        offered_rate_rps: RATE,
         results,
     };
     println!();
-    write_bench_json("serve", &output, false);
+    write_bench_json("serve", &output, smoke);
 }

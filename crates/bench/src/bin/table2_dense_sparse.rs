@@ -7,15 +7,20 @@
 //! exceed their device peaks at 99 % sparsity; CSR beats COO on both.
 
 use bfly_bench::anchors::{TABLE2_DENSE, TABLE2_SPARSE};
-use bfly_bench::format_table;
+use bfly_bench::measure::Arm;
 use bfly_bench::tiers::{
     gpu_naive_seconds, gpu_pytorch_seconds, gpu_shmem_seconds, ipu_blocked_seconds,
     ipu_naive_seconds,
 };
+use bfly_bench::{fmt_time, format_table};
 use bfly_data::workload::{MatmulProblem, TABLE2_DENSITIES, TABLE2_DIM};
 use bfly_gpu::GpuDevice;
 use bfly_ipu::IpuDevice;
 use bfly_tensor::LinOp;
+use std::hint::black_box;
+
+/// Interleaved samples per side of the CSR-vs-COO host timing (Note 2).
+const NOTE2_SAMPLES: usize = 3;
 
 fn main() {
     let n = TABLE2_DIM;
@@ -97,23 +102,23 @@ fn main() {
     let small = MatmulProblem::square(2048);
     let (csr, dense_b) = small.sparse_operands(0.10, &mut rng);
     let coo = csr.to_coo();
-    // Warm up, then time best-of-3 each.
-    let _ = csr.spmm(&dense_b);
-    let time_best = |f: &dyn Fn() -> bfly_tensor::Matrix| {
-        (0..3)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                let _ = f();
-                t0.elapsed()
-            })
-            .min()
-            .expect("three runs")
-    };
-    let t_csr = time_best(&|| csr.spmm(&dense_b));
-    let t_coo = time_best(&|| coo.spmm(&dense_b));
     assert!(csr.spmm(&dense_b).relative_error(&coo.spmm(&dense_b)) < 1e-5);
+    // COO is the baseline, CSR the candidate: a speedup above 1 means CSR
+    // is faster.
+    let timing = Arm::time(
+        NOTE2_SAMPLES,
+        || {
+            black_box(coo.spmm(&dense_b));
+        },
+        || {
+            black_box(csr.spmm(&dense_b));
+        },
+    );
     println!(
-        "\nNote 2 check (host kernels, N=2048, 90% sparse): CSR {t_csr:?} vs COO {t_coo:?} -> {}",
-        if t_csr <= t_coo { "CSR faster (matches paper)" } else { "COO faster (differs)" }
+        "\nNote 2 check (host kernels, N=2048, 90% sparse, median of {NOTE2_SAMPLES}): \
+         CSR {} vs COO {} -> {}",
+        fmt_time(timing.candidate.median_us * 1e-6),
+        fmt_time(timing.baseline.median_us * 1e-6),
+        if timing.speedup >= 1.0 { "CSR faster (matches paper)" } else { "COO faster (differs)" }
     );
 }

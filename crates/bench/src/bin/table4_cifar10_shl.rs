@@ -17,18 +17,14 @@
 //! Environment knobs: BFLY_SAMPLES (default 3000), BFLY_EPOCHS (default 6).
 
 use bfly_bench::anchors::TABLE4;
-use bfly_bench::format_table;
 use bfly_bench::simtime::simulated_training_seconds;
+use bfly_bench::{env_usize, format_table};
 use bfly_core::{build_shl, shl_param_count, Method};
 use bfly_data::{generate, split, SynthSpec};
 use bfly_gpu::GpuDevice;
 use bfly_ipu::IpuDevice;
 use bfly_nn::{fit, Layer, TrainConfig};
 use bfly_tensor::seeded_rng;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 fn main() {
     let samples = env_usize("BFLY_SAMPLES", 3000);

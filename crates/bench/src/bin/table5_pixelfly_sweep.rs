@@ -14,17 +14,13 @@
 //! Environment knobs: BFLY_SAMPLES (default 1500), BFLY_EPOCHS (default 4).
 
 use bfly_bench::simtime::simulated_training_seconds;
-use bfly_bench::{format_table, mean_std};
+use bfly_bench::{env_usize, format_table, mean_std};
 use bfly_core::{build_shl, shl_param_count, Method, PixelflyConfig};
 use bfly_data::{generate, split, SynthSpec};
 use bfly_gpu::GpuDevice;
 use bfly_ipu::IpuDevice;
 use bfly_nn::{fit, Layer, TrainConfig};
 use bfly_tensor::seeded_rng;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// Metrics of one trained pixelfly configuration.
 struct Outcome {

@@ -2,41 +2,38 @@
 //!
 //! Harness library shared by the table/figure reproduction binaries:
 //! paper-reported anchor values, implementation-tier efficiency constants
-//! for the Table 2 comparison, and plain-text table formatting.
+//! for the Table 2 comparison, plain-text table formatting, the one pair
+//! timer behind every host A/B comparison ([`measure`]), and the writer
+//! that stamps provenance into every committed `BENCH_*.json` ([`json`]).
+//!
+//! The binaries take their configuration from constants. `--smoke` asks a
+//! BENCH-writing binary for a CI-sized run that leaves its committed file
+//! alone. The only environment variables read are `BFLY_SAMPLES` and
+//! `BFLY_EPOCHS` (training binaries and examples, to cut runtime) and
+//! `BFLY_JSON` (machine-readable series, see [`json`]).
 
 #![warn(missing_docs)]
 
 pub mod anchors;
 pub mod json;
-pub mod legacy;
+pub mod measure;
 pub mod simtime;
+#[path = "bin/benchmark/stats.rs"]
+pub mod stats;
 pub mod tiers;
 
 use std::fmt::Write as _;
 
-/// True when the binary was invoked with `--smoke` (or `BFLY_BENCH_SMOKE=1`
-/// is set): CI-sized sweeps that must never overwrite the checked-in
-/// `BENCH_*.json` numbers, which always come from full runs.
+/// True when the binary was invoked with `--smoke`: CI-sized sweeps that
+/// must never overwrite the checked-in `BENCH_*.json` numbers, which always
+/// come from full runs.
 pub fn smoke_run() -> bool {
     std::env::args().any(|a| a == "--smoke")
-        || std::env::var("BFLY_BENCH_SMOKE").is_ok_and(|v| v == "1")
-}
-
-/// Reads a `u64` environment knob, falling back to `default` when the
-/// variable is unset or unparsable.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Reads a `usize` environment knob, falling back to `default` when the
 /// variable is unset or unparsable.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Reads an `f64` environment knob, falling back to `default` when the
-/// variable is unset or unparsable.
-pub fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
@@ -155,20 +152,12 @@ mod tests {
     #[test]
     fn env_knobs_fall_back_and_parse() {
         // Unique variable names so parallel tests cannot interfere.
-        assert_eq!(env_u64("BFLY_TEST_KNOB_U64_UNSET", 7), 7);
-        std::env::set_var("BFLY_TEST_KNOB_U64", "42");
-        assert_eq!(env_u64("BFLY_TEST_KNOB_U64", 7), 42);
-        std::env::set_var("BFLY_TEST_KNOB_U64", "not a number");
-        assert_eq!(env_u64("BFLY_TEST_KNOB_U64", 7), 7);
-        std::env::remove_var("BFLY_TEST_KNOB_U64");
-
+        assert_eq!(env_usize("BFLY_TEST_KNOB_USIZE_UNSET", 7), 7);
         std::env::set_var("BFLY_TEST_KNOB_USIZE", "5");
         assert_eq!(env_usize("BFLY_TEST_KNOB_USIZE", 1), 5);
+        std::env::set_var("BFLY_TEST_KNOB_USIZE", "not a number");
+        assert_eq!(env_usize("BFLY_TEST_KNOB_USIZE", 1), 1);
         std::env::remove_var("BFLY_TEST_KNOB_USIZE");
-
-        std::env::set_var("BFLY_TEST_KNOB_F64", "2.5");
-        assert_eq!(env_f64("BFLY_TEST_KNOB_F64", 1.0), 2.5);
-        std::env::remove_var("BFLY_TEST_KNOB_F64");
     }
 
     #[test]

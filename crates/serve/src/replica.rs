@@ -134,19 +134,6 @@ impl Routing {
     }
 }
 
-impl std::str::FromStr for Routing {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "rr" | "round-robin" => Ok(Routing::RoundRobin),
-            "p2c" | "power-of-two" => Ok(Routing::PowerOfTwoChoices),
-            "jsq" | "join-shortest-queue" => Ok(Routing::JoinShortestQueue),
-            other => Err(format!("unknown routing policy {other:?} (rr | p2c | jsq)")),
-        }
-    }
-}
-
 /// One replica's occupancy as seen by the routing policy.
 #[derive(Debug, Clone, Copy)]
 struct ReplicaOccupancy {
@@ -988,15 +975,11 @@ mod tests {
     }
 
     #[test]
-    fn routing_parses_from_labels() {
-        assert_eq!("rr".parse::<Routing>().unwrap(), Routing::RoundRobin);
-        assert_eq!("p2c".parse::<Routing>().unwrap(), Routing::PowerOfTwoChoices);
-        assert_eq!("join-shortest-queue".parse::<Routing>().unwrap(), Routing::JoinShortestQueue);
-        assert!("nope".parse::<Routing>().is_err());
+    fn routing_defaults_to_p2c_and_labels() {
         assert_eq!(Routing::default(), Routing::PowerOfTwoChoices);
-        for r in [Routing::RoundRobin, Routing::PowerOfTwoChoices, Routing::JoinShortestQueue] {
-            assert_eq!(r.label().parse::<Routing>(), Ok(r));
-        }
+        assert_eq!(Routing::RoundRobin.label(), "rr");
+        assert_eq!(Routing::PowerOfTwoChoices.label(), "p2c");
+        assert_eq!(Routing::JoinShortestQueue.label(), "jsq");
     }
 
     #[test]

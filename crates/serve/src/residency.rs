@@ -67,18 +67,6 @@ impl ResidencyPolicy {
     }
 }
 
-impl std::str::FromStr for ResidencyPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "lru" => Ok(ResidencyPolicy::Lru),
-            "cost-aware" | "cost_aware" | "cost" => Ok(ResidencyPolicy::CostAware),
-            other => Err(format!("unknown residency policy {other:?} (lru | cost-aware)")),
-        }
-    }
-}
-
 /// A per-tenant resident-byte cap, applied per replica.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantQuota {
@@ -535,11 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_parses_from_labels() {
-        assert_eq!("lru".parse::<ResidencyPolicy>().unwrap(), ResidencyPolicy::Lru);
-        assert_eq!("cost-aware".parse::<ResidencyPolicy>().unwrap(), ResidencyPolicy::CostAware);
-        assert_eq!("cost_aware".parse::<ResidencyPolicy>().unwrap(), ResidencyPolicy::CostAware);
-        assert!("mru".parse::<ResidencyPolicy>().is_err());
+    fn policy_defaults_to_lru_and_labels() {
         assert_eq!(ResidencyPolicy::default(), ResidencyPolicy::Lru);
         assert_eq!(ResidencyPolicy::Lru.label(), "lru");
         assert_eq!(ResidencyPolicy::CostAware.label(), "cost-aware");

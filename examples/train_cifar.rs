@@ -4,14 +4,11 @@
 //! Run with: `cargo run --release --example train_cifar`
 //! Optional env: BFLY_SAMPLES (default 2000), BFLY_EPOCHS (default 6).
 
+use bfly_bench::env_usize;
 use bfly_core::{build_shl, compression_percent, shl_param_count, Method};
 use bfly_data::{generate, split, SynthSpec};
 use bfly_nn::{fit, TrainConfig};
 use bfly_tensor::seeded_rng;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 fn main() {
     let samples = env_usize("BFLY_SAMPLES", 2000);

@@ -7,18 +7,15 @@
 //! butterfly} -> ReLU -> GlobalAvgPool -> Dense(C -> 10).
 //!
 //! Run with: `cargo run --release --example train_cnn`
-//! Optional env: BFLY_SAMPLES (default 1500), BFLY_EPOCHS (default 4).
+//! Optional env: BFLY_SAMPLES (default 1500), BFLY_EPOCHS (default 8).
 
+use bfly_bench::env_usize;
 use bfly_core::ButterflyConv1x1;
 use bfly_data::{generate_images, split, ImageSpec};
 use bfly_nn::{
     fit, Conv2d, ConvShape, Dense, GlobalAvgPool, Layer, MaxPool2, Relu, Sequential, TrainConfig,
 };
 use bfly_tensor::seeded_rng;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 fn build_cnn(channels: usize, butterfly_mix: bool, seed: u64) -> Sequential {
     let mut rng = seeded_rng(seed);
