@@ -41,14 +41,46 @@ fn bench_block_sparse(c: &mut Criterion) {
     group.finish();
 }
 
+/// The butterfly layer at n = 1024 and the Table 3 batch of 50: the
+/// training forward alone, the fused backward kernel alone on that
+/// forward's stage arena, and a whole forward + backward step.
 fn bench_butterfly_train_step(c: &mut Criterion) {
-    use bfly_core::ButterflyLayer;
+    use bfly_core::{fused_backward, fused_forward_train, ButterflyLayer};
     use bfly_nn::Layer;
     let mut group = c.benchmark_group("butterfly_train_step");
     let n = 1024usize;
     let mut rng = seeded_rng(3);
     let mut layer = ButterflyLayer::new(n, n, &mut rng);
     let x = Matrix::random_uniform(50, n, 1.0, &mut rng);
+    group.bench_with_input(BenchmarkId::new("forward_train", n), &n, |b, _| {
+        b.iter(|| layer.forward(&x, true))
+    });
+    let butterfly = Butterfly::random(n, &mut rng);
+    let bias = vec![0.0f32; n];
+    let (mut arena, mut scratch) = (Vec::new(), Scratch::new());
+    let y = fused_forward_train(
+        &x,
+        &butterfly.perm,
+        &butterfly.factors,
+        &bias,
+        &mut arena,
+        &mut scratch,
+    );
+    group.bench_with_input(BenchmarkId::new("backward", n), &n, |b, _| {
+        b.iter(|| {
+            fused_backward(
+                &y,
+                &butterfly.perm,
+                &butterfly.factors,
+                &arena,
+                n,
+                &mut scratch,
+                |_, g| {
+                    std::hint::black_box(g);
+                },
+            )
+        })
+    });
     group.bench_with_input(BenchmarkId::new("fwd_bwd", n), &n, |b, _| {
         b.iter(|| {
             let y = layer.forward(&x, true);

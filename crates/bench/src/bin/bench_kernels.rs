@@ -17,9 +17,12 @@
 //! medians.
 //!
 //! Results print as a table of medians and are written to
-//! `BENCH_kernels.json` at the workspace root. `--smoke` runs a
+//! `BENCH_kernels.json` at the workspace root. The full run covers batch 50,
+//! the Table 3 batch the SHL training trains at. `--smoke` runs a
 //! seconds-long version (tiny sizes, few samples) and skips the JSON
-//! write — used by CI to keep the binary from rotting.
+//! write — used by CI to keep the binary from rotting. It also gates the
+//! fused backward: the run fails if its arm reads below
+//! [`SMOKE_MIN_BACKWARD_SPEEDUP`] its per-row oracle at batch 8.
 
 use bfly_bench::format_table;
 use bfly_bench::json::write_bench_json;
@@ -29,6 +32,10 @@ use bfly_core::{fused_backward, fused_forward, fused_forward_train, Butterfly};
 use bfly_tensor::{seeded_rng, Matrix, Scratch};
 use serde::Serialize;
 use std::hint::black_box;
+
+/// The smoke run's floor for the backward arm's speedup at batch 8: the
+/// fused backward must beat running its per-row oracle.
+const SMOKE_MIN_BACKWARD_SPEEDUP: f64 = 1.0;
 
 #[derive(Serialize)]
 struct KernelPoint {
@@ -145,7 +152,7 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
         }
     };
     let oracle_dx = oracle_backward(&b, &caches, &y, &mut oracle_gt);
-    let fused_dx = fused_backward(&y, &b.perm, &b.factors, &arena, n, |s, flat| {
+    let fused_dx = fused_backward(&y, &b.perm, &b.factors, &arena, n, &mut scratch, |s, flat| {
         accumulate(&mut fused_gt, s, flat);
     });
     check("backward dX", oracle_dx.as_slice(), fused_dx.as_slice());
@@ -189,9 +196,15 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
             black_box(oracle_backward(&b, &caches, &y, &mut oracle_gt));
         },
         || {
-            black_box(fused_backward(&y, &b.perm, &b.factors, &arena, n, |s, flat| {
-                accumulate(&mut fused_gt, s, flat);
-            }));
+            black_box(fused_backward(
+                &y,
+                &b.perm,
+                &b.factors,
+                &arena,
+                n,
+                &mut scratch,
+                |s, flat| accumulate(&mut fused_gt, s, flat),
+            ));
         },
     );
     let infer = Arm::time(
@@ -211,7 +224,7 @@ fn main() {
     // Touched elements per measurement the sample count is budgeted by.
     let work_budget = if smoke { 50_000.0 } else { 50_000_000.0 };
     let (sizes, batches): (&[usize], &[usize]) =
-        if smoke { (&[64, 256], &[1, 8]) } else { (&[256, 1024, 4096], &[1, 8, 32, 128]) };
+        if smoke { (&[64, 256], &[1, 8]) } else { (&[256, 1024, 4096], &[1, 8, 32, 50, 128]) };
 
     println!(
         "bench_kernels: per-row Butterfly oracles vs fused butterfly kernels, median us{}\n",
@@ -259,6 +272,22 @@ fn main() {
             &rows
         )
     );
+
+    if smoke {
+        let slow: Vec<String> = points
+            .iter()
+            .filter(|p| p.batch == 8 && p.backward.speedup < SMOKE_MIN_BACKWARD_SPEEDUP)
+            .map(|p| format!("n {} ({:.2}x)", p.n, p.backward.speedup))
+            .collect();
+        if !slow.is_empty() {
+            eprintln!(
+                "bench_kernels: fused backward below {SMOKE_MIN_BACKWARD_SPEEDUP:.1}x its per-row \
+                 oracle at batch 8: {}",
+                slow.join(", ")
+            );
+            std::process::exit(1);
+        }
+    }
 
     write_bench_json("kernels", &BenchOutput { kernels: points }, smoke);
 }

@@ -192,6 +192,7 @@ impl Layer for ButterflyLayer {
             &self.butterfly.factors,
             &self.arena,
             self.in_dim,
+            &mut self.scratch,
             |s, flat| factor_params[s].accumulate_grad(flat),
         )
     }

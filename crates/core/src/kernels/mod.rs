@@ -27,6 +27,7 @@ use bfly_tensor::{Matrix, Permutation, Scratch};
 use rayon::prelude::*;
 
 pub mod block;
+mod tiles;
 
 pub use block::{
     fused_block_backward, fused_block_forward, fused_block_forward_train, BlockCsr, BlockGrads,
@@ -142,6 +143,20 @@ pub fn repack_twiddles_planar(twiddles: &[f32], dst: &mut [f32]) {
     }
 }
 
+/// Inverse of [`repack_twiddles_planar`]: interleaves four planes
+/// `[a..][b..][c..][d..]` back into `[a, b, c, d]` quadruples — how the
+/// backward's planar twiddle-gradient accumulators reach the parameters.
+#[inline]
+fn unpack_twiddles_planar(planar: &[f32], dst: &mut [f32]) {
+    let pairs = planar.len() / 4;
+    let (a, rest) = planar.split_at(pairs);
+    let (b, rest) = rest.split_at(pairs);
+    let (c, d) = rest.split_at(pairs);
+    for ((((quad, a), b), c), d) in dst.chunks_exact_mut(4).zip(a).zip(b).zip(c).zip(d) {
+        quad.copy_from_slice(&[*a, *b, *c, *d]);
+    }
+}
+
 /// Evaluates each angle's `sin_cos` once into two planes `[sin..][cos..]`
 /// (`dst.len() == 2 * angles.len()`), so a batched rotation stage pays the
 /// transcendentals once per call instead of once per row.
@@ -156,9 +171,10 @@ pub fn repack_angles_planar(angles: &[f32], dst: &mut [f32]) {
     }
 }
 
-/// Routes a planar stage call to the widest vector ISA the host supports.
+/// Routes a planar stage call (or the backward's whole row-block sweep) to
+/// the widest vector ISA the host supports.
 ///
-/// On x86-64 the cost is one cached CPUID lookup per stage call; every other
+/// On x86-64 the cost is one cached CPUID lookup per call; every other
 /// architecture compiles straight to the generic body. The `wide` variants
 /// run the *same* generic body, only recompiled with wider vector units
 /// enabled (see the module doc on [`wide`]), so results are bit-identical
@@ -180,7 +196,8 @@ macro_rules! dispatch_wide {
     }};
 }
 
-/// Wide-vector re-instantiations of the planar stage loops for x86-64.
+/// Wide-vector re-instantiations of the planar stage loops and of the
+/// backward's row-block sweep for x86-64.
 ///
 /// `#[target_feature]` recompiles the inlined generic body with 256-bit
 /// (AVX2) or 512-bit (AVX-512F) vector units enabled; the baseline build
@@ -217,6 +234,38 @@ mod wide {
         rotation_stage_planar_impl,
         (block_size: usize, planar: &[f32], x: &mut [f32])
     );
+
+    use super::{Matrix, StageBackward};
+
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn backward_blocks_avx512<S: StageBackward>(
+        grad_output: &Matrix,
+        map: &[u32],
+        stages: &[S],
+        arena: &[f32],
+        planar: &[f32],
+        acc: &mut [f32],
+        rows: &mut [f32],
+        dx: &mut Matrix,
+    ) {
+        super::backward_blocks_impl(grad_output, map, stages, arena, planar, acc, rows, dx)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn backward_blocks_avx2<S: StageBackward>(
+        grad_output: &Matrix,
+        map: &[u32],
+        stages: &[S],
+        arena: &[f32],
+        planar: &[f32],
+        acc: &mut [f32],
+        rows: &mut [f32],
+        dx: &mut Matrix,
+    ) {
+        super::backward_blocks_impl(grad_output, map, stages, arena, planar, acc, rows, dx)
+    }
 }
 
 /// [`apply_twiddle_stage`] reading coefficients from the planar repack of
@@ -254,7 +303,8 @@ fn twiddle_stage_planar_impl(block_size: usize, planar: &[f32], x: &mut [f32]) {
     }
 }
 
-/// Out-of-place variant of [`apply_twiddle_stage_planar`].
+/// Out-of-place variant of [`apply_twiddle_stage_planar`], in the sixteen-lane
+/// tiles of the training kernels (see `tiles`); bit-identical to it.
 #[inline]
 pub fn apply_twiddle_stage_into_planar(
     block_size: usize,
@@ -262,36 +312,12 @@ pub fn apply_twiddle_stage_into_planar(
     src: &[f32],
     dst: &mut [f32],
 ) {
-    // Not ISA-dispatched: this variant inlines into the training stage
-    // chain, where the call boundary a `#[target_feature]` wrapper imposes
-    // costs more than wider vectors recover (measured ~30% slower).
-    twiddle_stage_into_planar_impl(block_size, planar, src, dst)
-}
-
-#[inline(always)]
-fn twiddle_stage_into_planar_impl(block_size: usize, planar: &[f32], src: &[f32], dst: &mut [f32]) {
-    let half = block_size / 2;
-    let pairs = planar.len() / 4;
-    let (a_all, rest) = planar.split_at(pairs);
-    let (b_all, rest) = rest.split_at(pairs);
-    let (c_all, d_all) = rest.split_at(pairs);
-    let mut t = 0usize;
-    for (sblock, dblock) in src.chunks_exact(block_size).zip(dst.chunks_exact_mut(block_size)) {
-        let (slo, shi) = sblock.split_at(half);
-        let (dlo, dhi) = dblock.split_at_mut(half);
-        for (((((sp, sq), dp), dq), a), (b, (c, d))) in slo
-            .iter()
-            .zip(shi)
-            .zip(dlo.iter_mut())
-            .zip(dhi.iter_mut())
-            .zip(&a_all[t..t + half])
-            .zip(b_all[t..t + half].iter().zip(c_all[t..t + half].iter().zip(&d_all[t..t + half])))
-        {
-            *dp = a * sp + b * sq;
-            *dq = c * sp + d * sq;
-        }
-        t += half;
-    }
+    // Not ISA-dispatched. A `#[target_feature]` wrapper per stage-row puts a
+    // call boundary inside the training stage chain (measured ~30% slower);
+    // compiling the whole training forward for AVX2 instead measured within
+    // noise of the baseline build, since the pass is bound by its arena
+    // writes rather than by the stage arithmetic.
+    tiles::twiddle_forward(block_size, planar, src, dst)
 }
 
 /// [`apply_rotation_stage`] reading the precomputed `[sin..][cos..]` planes
@@ -370,6 +396,36 @@ fn rotation_stage_into_planar_impl(
     }
 }
 
+/// Backward through one rotation stage for one row, reading the
+/// `[sin..][cos..]` planes of [`repack_angles_planar`] instead of calling
+/// `sin_cos` per pair: the same call on the same angle, so bit-identical to
+/// [`OrthoFactor::backward_in_place`]. One angle gradient per pair, so the
+/// accumulators need no planar layout.
+#[inline(always)]
+fn rotation_backward_planar(
+    block_size: usize,
+    planar: &[f32],
+    x: &[f32],
+    grad: &mut [f32],
+    grad_angles: &mut [f32],
+) {
+    let half = block_size / 2;
+    let (s_all, c_all) = planar.split_at(planar.len() / 2);
+    let mut t = 0usize;
+    for base in (0..x.len()).step_by(block_size) {
+        for p in base..base + half {
+            let q = p + half;
+            let (s, c) = (s_all[t], c_all[t]);
+            let (xp, xq) = (x[p], x[q]);
+            let (gp, gq) = (grad[p], grad[q]);
+            grad_angles[t] += gp * (-s * xp - c * xq) + gq * (c * xp - s * xq);
+            grad[p] = c * gp + s * gq;
+            grad[q] = -s * gp + c * gq;
+            t += 1;
+        }
+    }
+}
+
 /// One in-place butterfly stage, as seen by the fused kernels.
 ///
 /// Implemented by owned factors ([`ButterflyFactor`], [`OrthoFactor`]) and by
@@ -421,13 +477,28 @@ pub trait StageKernel: Sync {
 }
 
 /// A stage that can also backpropagate, for the fused training path.
+///
+/// [`fused_backward`] always runs on the planar repack, so implementors
+/// must provide [`StageKernel::repack_planar`].
 pub trait StageBackward: StageKernel {
-    /// Length of the flat per-stage parameter-gradient accumulator.
+    /// Length of the per-stage parameter-gradient accumulator (the same in
+    /// the planar and the flat layout).
     fn grad_len(&self) -> usize;
-    /// Backward through the stage for one row: `x` is the cached stage
-    /// input, `grad` is dL/d output on entry and dL/d input on exit,
-    /// `grad_accum` accumulates flat parameter gradients.
-    fn backward_row(&self, x: &[f32], grad: &mut [f32], grad_accum: &mut [f32]);
+    /// Backward through the stage for one row, reading the parameters from
+    /// the planar repack `planar`: `x` is the cached stage input, `grad` is
+    /// dL/d output on entry and dL/d input on exit, and `grad_planar`
+    /// accumulates the parameter gradients in the stage's planar gradient
+    /// layout. Must be bit-identical to the stage's per-row backward.
+    fn backward_row_planar(
+        &self,
+        planar: &[f32],
+        x: &[f32],
+        grad: &mut [f32],
+        grad_planar: &mut [f32],
+    );
+    /// Writes planar accumulators in the flat layout of the stage's
+    /// parameters (`flat.len() == grad_planar.len() == self.grad_len()`).
+    fn unpack_grad(&self, grad_planar: &[f32], flat: &mut [f32]);
 }
 
 impl StageKernel for ButterflyFactor {
@@ -462,9 +533,19 @@ impl StageBackward for ButterflyFactor {
     fn grad_len(&self) -> usize {
         self.twiddles.len()
     }
+    #[inline(always)]
+    fn backward_row_planar(
+        &self,
+        planar: &[f32],
+        x: &[f32],
+        grad: &mut [f32],
+        grad_planar: &mut [f32],
+    ) {
+        tiles::twiddle_backward(self.block_size, planar, x, grad, grad_planar);
+    }
     #[inline]
-    fn backward_row(&self, x: &[f32], grad: &mut [f32], grad_accum: &mut [f32]) {
-        self.backward_in_place(x, grad, grad_accum);
+    fn unpack_grad(&self, grad_planar: &[f32], flat: &mut [f32]) {
+        unpack_twiddles_planar(grad_planar, flat);
     }
 }
 
@@ -500,9 +581,19 @@ impl StageBackward for OrthoFactor {
     fn grad_len(&self) -> usize {
         self.angles.len()
     }
+    #[inline(always)]
+    fn backward_row_planar(
+        &self,
+        planar: &[f32],
+        x: &[f32],
+        grad: &mut [f32],
+        grad_planar: &mut [f32],
+    ) {
+        rotation_backward_planar(self.block_size, planar, x, grad, grad_planar);
+    }
     #[inline]
-    fn backward_row(&self, x: &[f32], grad: &mut [f32], grad_accum: &mut [f32]) {
-        self.backward_in_place(x, grad, grad_accum);
+    fn unpack_grad(&self, grad_planar: &[f32], flat: &mut [f32]) {
+        flat.copy_from_slice(grad_planar);
     }
 }
 
@@ -758,54 +849,136 @@ pub fn fused_forward_train<S: StageKernel>(
 ///
 /// The sweep is stage-major *within each row block*: a stage's cached
 /// inputs sit in one contiguous arena slab, the block's grad rows stay
-/// cache-resident across the `log n` stages, and the stage's flat
-/// accumulator stays L1-hot through the inner row loop. Rows are
-/// independent, and each stage's accumulator receives its row contributions
-/// in ascending row order (blocks are walked in order), so the result is
-/// bit-identical to the whole-matrix stage-major order of the unfused
-/// implementation.
+/// cache-resident across the `log n` stages, and the stage's accumulators
+/// stay L1-hot through the inner row loop. Each block's rows start as
+/// zero-padded copies of `grad_output` and, after stage 0, scatter through
+/// the permutation straight into the returned matrix. Stages run on their
+/// planar repack with planar accumulators (sixteen-lane tiles for twiddle
+/// stages, see `tiles`), and the whole sweep runs in one ISA-dispatched
+/// call. Rows are independent, every accumulator lane starts at `+0.0` and
+/// receives its row contributions in ascending row order (blocks are walked
+/// in order), so the result is bit-identical to per-row
+/// [`Butterfly::backward_cached`](crate::butterfly::Butterfly::backward_cached)
+/// from zeroed gradients.
+///
+/// The work memory comes from (and returns to) `scratch`; the only
+/// allocation in steady state is the returned matrix.
 pub fn fused_backward<S: StageBackward>(
     grad_output: &Matrix,
     perm: &Permutation,
     stages: &[S],
     arena: &[f32],
     in_dim: usize,
+    scratch: &mut Scratch,
     mut accumulate: impl FnMut(usize, &[f32]),
 ) -> Matrix {
     let n = perm.len();
-    let nstages = stages.len();
     let batch = grad_output.rows();
-    assert_eq!(arena.len(), batch * nstages * n, "arena does not match this batch");
-    let mut g = grad_output.zero_pad(batch, n);
-    // One flat accumulator per stage, packed back to back.
-    let offsets: Vec<usize> = stages
-        .iter()
-        .scan(0usize, |acc, s| {
-            let o = *acc;
-            *acc += s.grad_len();
-            Some(o)
-        })
-        .collect();
+    assert!(in_dim <= n && grad_output.cols() <= n, "transform width must cover both layer widths");
+    assert!(!stages.is_empty(), "butterfly transforms have at least one stage");
+    assert_eq!(arena.len(), batch * stages.len() * n, "arena does not match this batch");
+    let mut dx = Matrix::zeros(batch, in_dim);
+    let planar = repack_stages(stages, scratch);
     let total: usize = stages.iter().map(|s| s.grad_len()).sum();
-    let mut gt = vec![0.0f32; total];
-    for (gblock, ablock) in
-        g.as_mut_slice().chunks_mut(ROW_BLOCK * n).zip(arena.chunks(ROW_BLOCK * nstages * n))
-    {
+    let mut acc = scratch.take(total);
+    acc.fill(0.0);
+    let mut rows = scratch.take(batch.min(ROW_BLOCK) * n);
+    backward_blocks(grad_output, perm.map(), stages, arena, &planar, &mut acc, &mut rows, &mut dx);
+    let mut flat = scratch.take(stages.iter().map(|s| s.grad_len()).max().unwrap_or(0));
+    let mut off = total;
+    for (s, stage) in stages.iter().enumerate().rev() {
+        let gl = stage.grad_len();
+        off -= gl;
+        stage.unpack_grad(&acc[off..off + gl], &mut flat[..gl]);
+        accumulate(s, &flat[..gl]);
+    }
+    scratch.put(flat);
+    scratch.put(rows);
+    scratch.put(acc);
+    scratch.put(planar);
+    dx
+}
+
+/// Routes the backward's row-block sweep to the widest vector ISA the host
+/// supports, once per call: a dispatch per stage-row would put a call
+/// boundary inside the stage chain (see [`apply_twiddle_stage_into_planar`]).
+/// Every variant compiles the same body, so all are bit-identical.
+#[allow(clippy::too_many_arguments)]
+fn backward_blocks<S: StageBackward>(
+    grad_output: &Matrix,
+    map: &[u32],
+    stages: &[S],
+    arena: &[f32],
+    planar: &[f32],
+    acc: &mut [f32],
+    rows: &mut [f32],
+    dx: &mut Matrix,
+) {
+    dispatch_wide!(
+        backward_blocks_avx512,
+        backward_blocks_avx2,
+        backward_blocks_impl,
+        grad_output,
+        map,
+        stages,
+        arena,
+        planar,
+        acc,
+        rows,
+        dx
+    )
+}
+
+/// The row-block sweep of [`fused_backward`]. `planar` and `acc` hold every
+/// stage's planar parameters and accumulators back to back in stage order;
+/// `rows` holds one row block of gradient rows.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn backward_blocks_impl<S: StageBackward>(
+    grad_output: &Matrix,
+    map: &[u32],
+    stages: &[S],
+    arena: &[f32],
+    planar: &[f32],
+    acc: &mut [f32],
+    rows: &mut [f32],
+    dx: &mut Matrix,
+) {
+    let n = map.len();
+    let nstages = stages.len();
+    let out_dim = grad_output.cols();
+    let in_dim = dx.cols();
+    for (block, ablock) in arena.chunks(ROW_BLOCK * nstages * n).enumerate() {
         let brows = ablock.len() / (nstages * n);
+        let first = block * ROW_BLOCK;
+        let g = &mut rows[..brows * n];
+        for (r, grow) in g.chunks_exact_mut(n).enumerate() {
+            let (head, pad) = grow.split_at_mut(out_dim);
+            head.copy_from_slice(grad_output.row(first + r));
+            pad.fill(0.0);
+        }
+        let (mut poff, mut aoff) = (planar.len(), acc.len());
         for (s, stage) in stages.iter().enumerate().rev() {
-            let gl = stage.grad_len();
+            poff -= stage.planar_len();
+            aoff -= stage.grad_len();
+            let p = &planar[poff..poff + stage.planar_len()];
+            let a = &mut acc[aoff..aoff + stage.grad_len()];
             let slab = &ablock[s * brows * n..(s + 1) * brows * n];
-            let gts = &mut gt[offsets[s]..offsets[s] + gl];
-            for (grow, xrow) in gblock.chunks_mut(n).zip(slab.chunks(n)) {
-                stage.backward_row(xrow, grow, gts);
+            for (grow, xrow) in g.chunks_exact_mut(n).zip(slab.chunks_exact(n)) {
+                stage.backward_row_planar(p, xrow, grow, a);
+            }
+        }
+        // Backward through the permutation y = x[map]: dx[map[i]] = g[i],
+        // cropped to the input width.
+        for (r, grow) in g.chunks_exact(n).enumerate() {
+            let dxrow = dx.row_mut(first + r);
+            for (&v, &j) in grow.iter().zip(map) {
+                if (j as usize) < in_dim {
+                    dxrow[j as usize] = v;
+                }
             }
         }
     }
-    for (s, stage) in stages.iter().enumerate().rev() {
-        accumulate(s, &gt[offsets[s]..offsets[s] + stage.grad_len()]);
-    }
-    let g = perm.inverse().apply_to_rows(&g);
-    g.submatrix(0, 0, batch, in_dim)
 }
 
 #[cfg(test)]
@@ -864,37 +1037,159 @@ mod tests {
         assert_eq!(&arena[..8], expect.as_slice());
     }
 
+    /// Bit for bit against per-row `forward_cached` / `backward_cached`,
+    /// on the per-pair path (n = 8) and the lane tiles (n = 64).
     #[test]
     fn fused_backward_matches_cached_reference() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = seeded_rng(73);
-        let b = Butterfly::random(8, &mut rng);
-        let bias = vec![0.0f32; 8];
-        let x = Matrix::random_uniform(3, 8, 1.0, &mut rng);
-        let mut scratch = Scratch::new();
-        let mut arena = Vec::new();
-        let y = fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
+        for n in [8, 64] {
+            let b = Butterfly::random(n, &mut rng);
+            let bias = vec![0.0f32; n];
+            let x = Matrix::random_uniform(3, n, 1.0, &mut rng);
+            let mut scratch = Scratch::new();
+            let mut arena = Vec::new();
+            let y = fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
 
-        let mut fused_gt: Vec<Vec<f32>> =
-            b.factors.iter().map(|f| vec![0.0f32; f.twiddles.len()]).collect();
-        let gx = fused_backward(&y, &b.perm, &b.factors, &arena, 8, |s, flat| {
-            for (acc, v) in fused_gt[s].iter_mut().zip(flat) {
-                *acc += v;
+            let mut fused_gt: Vec<Vec<f32>> =
+                b.factors.iter().map(|f| vec![0.0f32; f.twiddles.len()]).collect();
+            let gx = fused_backward(&y, &b.perm, &b.factors, &arena, n, &mut scratch, |s, flat| {
+                for (acc, v) in fused_gt[s].iter_mut().zip(flat) {
+                    *acc += v;
+                }
+            });
+
+            // Reference: per-row forward_cached / backward_cached.
+            let mut ref_gt: Vec<Vec<f32>> =
+                b.factors.iter().map(|f| vec![0.0f32; f.twiddles.len()]).collect();
+            for r in 0..3 {
+                let (_, cache) = b.forward_cached(x.row(r));
+                let gx_row = b.backward_cached(&cache, y.row(r), &mut ref_gt);
+                assert_eq!(bits(gx.row(r)), bits(&gx_row), "dX row {r} at n {n}");
             }
-        });
-
-        // Reference: per-row forward_cached / backward_cached.
-        let mut ref_gt: Vec<Vec<f32>> =
-            b.factors.iter().map(|f| vec![0.0f32; f.twiddles.len()]).collect();
-        for r in 0..3 {
-            let (_, cache) = b.forward_cached(x.row(r));
-            let gx_row = b.backward_cached(&cache, y.row(r), &mut ref_gt);
-            for (a, e) in gx.row(r).iter().zip(&gx_row) {
-                assert!((a - e).abs() < 1e-5, "{a} vs {e}");
+            for (s, (f_gt, r_gt)) in fused_gt.iter().zip(&ref_gt).enumerate() {
+                assert_eq!(bits(f_gt), bits(r_gt), "stage {s} twiddle gradient at n {n}");
             }
         }
-        for (f_gt, r_gt) in fused_gt.iter().zip(&ref_gt) {
-            for (a, e) in f_gt.iter().zip(r_gt) {
-                assert!((a - e).abs() < 1e-4, "{a} vs {e}");
+    }
+
+    /// The ISA bodies of the backward sweep against each other.
+    #[cfg(target_arch = "x86_64")]
+    mod isa {
+        use super::*;
+        use crate::ortho::OrthoButterfly;
+        use rand::Rng;
+
+        /// Bits of `v`, every NaN mapped to one pattern: IEEE 754 leaves the
+        /// payload of an operation on two NaNs to the implementation, and the
+        /// compiler may commute the operands of `+` and `*`.
+        fn canonical_bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+        }
+
+        /// Gradient entries in `[-1, 1]` with `±0.0` and subnormals mixed in,
+        /// plus sparse `±inf` and NaN when `nonfinite`.
+        fn special_grads(len: usize, nonfinite: bool, rng: &mut impl Rng) -> Vec<f32> {
+            (0..len)
+                .map(|_| match rng.gen_range(0u32..256) {
+                    0..=15 => 0.0,
+                    16..=23 => -0.0,
+                    24..=31 => f32::MIN_POSITIVE / 8.0,
+                    32..=35 => -1.0e-41,
+                    36 if nonfinite => f32::INFINITY,
+                    37 if nonfinite => f32::NEG_INFINITY,
+                    38 if nonfinite => f32::NAN,
+                    _ => rng.gen_range(-1.0f32..1.0),
+                })
+                .collect()
+        }
+
+        /// Runs the backward sweep compiled for `isa` (`"generic"`, `"avx2"` or
+        /// `"avx512f"`); returns `(dX, accumulators)`, or `None` when the host
+        /// lacks the ISA.
+        fn sweep<S: StageBackward>(
+            isa: &str,
+            g: &Matrix,
+            perm: &Permutation,
+            stages: &[S],
+            arena: &[f32],
+            in_dim: usize,
+        ) -> Option<(Vec<u32>, Vec<u32>)> {
+            let mut scratch = Scratch::new();
+            let planar = repack_stages(stages, &mut scratch);
+            let mut acc = vec![0.0; stages.iter().map(|s| s.grad_len()).sum()];
+            let mut rows = vec![0.0; g.rows().min(ROW_BLOCK) * perm.len()];
+            let mut dx = Matrix::zeros(g.rows(), in_dim);
+            let map = perm.map();
+            match isa {
+                "generic" => backward_blocks_impl(
+                    g, map, stages, arena, &planar, &mut acc, &mut rows, &mut dx,
+                ),
+                "avx2" if std::arch::is_x86_feature_detected!("avx2") => {
+                    // SAFETY: the runtime check above guarantees avx2.
+                    unsafe {
+                        wide::backward_blocks_avx2(
+                            g, map, stages, arena, &planar, &mut acc, &mut rows, &mut dx,
+                        )
+                    }
+                }
+                "avx512f" if std::arch::is_x86_feature_detected!("avx512f") => {
+                    // SAFETY: the runtime check above guarantees avx512f.
+                    unsafe {
+                        wide::backward_blocks_avx512(
+                            g, map, stages, arena, &planar, &mut acc, &mut rows, &mut dx,
+                        )
+                    }
+                }
+                _ => return None,
+            }
+            Some((canonical_bits(dx.as_slice()), canonical_bits(&acc)))
+        }
+
+        /// Every ISA body of the backward sweep the host supports, on the same
+        /// inputs, produces the same bits in dX and every accumulator. The
+        /// shapes cover the per-pair path (n = 16), every tile regime (n = 64
+        /// and 1024), ragged widths and a partial row block; the gradients hold
+        /// `±0.0` and subnormals, and in a second pass sparse `±inf` and NaN.
+        #[test]
+        fn every_isa_body_is_bit_identical() {
+            fn check<S: StageBackward>(
+                what: &str,
+                g: &Matrix,
+                perm: &Permutation,
+                stages: &[S],
+                arena: &[f32],
+                in_dim: usize,
+            ) {
+                let want = sweep("generic", g, perm, stages, arena, in_dim);
+                for isa in ["avx2", "avx512f"] {
+                    if let Some(got) = sweep(isa, g, perm, stages, arena, in_dim) {
+                        assert!(Some(got) == want, "{isa} body differs: {what}");
+                    }
+                }
+            }
+            let mut rng = seeded_rng(74);
+            let mut scratch = Scratch::new();
+            let mut arena = Vec::new();
+            for (n, in_dim, out_dim, batch) in
+                [(16, 16, 11, 5), (64, 50, 64, 33), (1024, 1000, 1024, 3)]
+            {
+                let b = Butterfly::random(n, &mut rng);
+                let o = OrthoButterfly::random(n, &mut rng);
+                let x = Matrix::random_uniform(batch, in_dim, 1.0, &mut rng);
+                let bias = vec![0.0f32; out_dim];
+                for nonfinite in [false, true] {
+                    let g = Matrix::from_vec(
+                        batch,
+                        out_dim,
+                        special_grads(batch * out_dim, nonfinite, &mut rng),
+                    );
+                    let what = format!("n {n} batch {batch} nonfinite {nonfinite}");
+                    fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
+                    check(&format!("butterfly {what}"), &g, &b.perm, &b.factors, &arena, in_dim);
+                    fused_forward_train(&x, &o.perm, &o.factors, &bias, &mut arena, &mut scratch);
+                    check(&format!("ortho {what}"), &g, &o.perm, &o.factors, &arena, in_dim);
+                }
             }
         }
     }

@@ -283,6 +283,7 @@ impl Layer for OrthoButterflyLayer {
             &self.butterfly.factors,
             &self.arena,
             self.in_dim,
+            &mut self.scratch,
             |s, flat| angle_params[s].accumulate_grad(flat),
         )
     }

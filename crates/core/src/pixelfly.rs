@@ -304,33 +304,30 @@ impl Layer for PixelflyLayer {
         }
         self.bias.accumulate_grad(&db);
 
-        // Fused block-sparse + low-rank backward: payload, U and V
-        // gradients plus dX in one call.
-        let mut gblocks = vec![0.0f32; self.sparse_param.len()];
+        // Fused block-sparse + low-rank backward: the payload, U and V
+        // gradients accumulate straight into the parameters' gradient
+        // buffers (borrowed apart from the values the kernel reads), plus
+        // dX in one call.
+        for p in [&self.sparse_param, &self.u, &self.v] {
+            assert!(!p.is_frozen(), "backward into frozen (forward-only) parameter {}", p.name());
+        }
         let rank = self.config.rank;
-        let (mut gu, mut gv) = if rank > 0 {
-            (vec![0.0f32; self.u.len()], vec![0.0f32; self.v.len()])
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let lowrank = (rank > 0).then_some(LowRankRef { u: &self.u.value, v: &self.v.value, rank });
         let vx = self.cached_vx.take();
-        let mut scratch = std::mem::take(&mut self.scratch);
         let grad_in = fused_block_backward(
             &self.csr,
             self.sparse.data(),
-            self.lowrank(),
+            lowrank,
             &input,
             vx.as_ref(),
             grad_output,
-            BlockGrads { payload: &mut gblocks, u: &mut gu, v: &mut gv },
-            &mut scratch,
+            BlockGrads {
+                payload: &mut self.sparse_param.grad,
+                u: &mut self.u.grad,
+                v: &mut self.v.grad,
+            },
+            &mut self.scratch,
         );
-        self.scratch = scratch;
-        self.sparse_param.accumulate_grad(&gblocks);
-        if rank > 0 {
-            self.u.accumulate_grad(&gu);
-            self.v.accumulate_grad(&gv);
-        }
         grad_in
     }
 
@@ -497,5 +494,87 @@ mod tests {
         assert!(expect_gx.as_slice().iter().any(|v| *v != 0.0), "degenerate reference");
         assert!(gx.relative_error(&expect_gx) < 1e-4);
         bfly_nn::check_gradients(&mut layer, &x, 1e-3, 3e-2);
+    }
+
+    /// From zeroed gradients, accumulating straight into `Param::grad` is
+    /// bit-identical to the kernel writing fresh zeroed temporaries that
+    /// are then added to the parameters: a running sum that starts at
+    /// `+0.0` never becomes `-0.0`, so `0.0 + S == S`.
+    #[test]
+    fn backward_into_param_grads_matches_temporaries() {
+        let mut rng = seeded_rng(59);
+        let config = PixelflyConfig { block_size: 8, butterfly_size: 4, rank: 5 };
+        let mut layer = PixelflyLayer::new(64, 64, config, &mut rng).expect("valid");
+        let x = Matrix::random_uniform(37, 64, 1.0, &mut rng);
+        let g = Matrix::random_uniform(37, 64, 1.0, &mut rng);
+        let _ = layer.forward(&x, true);
+        let vx = layer.cached_vx.clone();
+        let (mut gblocks, mut gu, mut gv) = (
+            vec![0.0f32; layer.sparse_param.len()],
+            vec![0.0; layer.u.len()],
+            vec![0.0; layer.v.len()],
+        );
+        let dx_ref = fused_block_backward(
+            &layer.csr,
+            layer.sparse.data(),
+            layer.lowrank(),
+            &x,
+            vx.as_ref(),
+            &g,
+            BlockGrads { payload: &mut gblocks, u: &mut gu, v: &mut gv },
+            &mut Scratch::new(),
+        );
+        let mut reference = [layer.sparse_param.clone(), layer.u.clone(), layer.v.clone()];
+        for (p, temp) in reference.iter_mut().zip([&gblocks, &gu, &gv]) {
+            p.zero_grad();
+            p.accumulate_grad(temp);
+        }
+
+        layer.zero_grad();
+        let dx = layer.backward(&g);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(dx.as_slice()), bits(dx_ref.as_slice()));
+        for (got, want) in [&layer.sparse_param, &layer.u, &layer.v].into_iter().zip(&reference) {
+            assert!(want.grad.iter().any(|v| *v != 0.0), "degenerate reference");
+            assert_eq!(bits(&got.grad), bits(&want.grad), "{}", got.name());
+        }
+    }
+
+    /// Without `zero_grad` in between, a second backward adds to the first
+    /// one's gradients.
+    #[test]
+    fn backward_accumulates_across_calls() {
+        let mut rng = seeded_rng(60);
+        let config = PixelflyConfig { block_size: 4, butterfly_size: 4, rank: 3 };
+        let mut layer = PixelflyLayer::new(32, 32, config, &mut rng).expect("valid");
+        let x = Matrix::random_uniform(6, 32, 1.0, &mut rng);
+        let g = Matrix::random_uniform(6, 32, 1.0, &mut rng);
+        layer.zero_grad();
+        let _ = layer.forward(&x, true);
+        let _ = layer.backward(&g);
+        let once: Vec<Vec<f32>> = layer.params().iter().map(|p| p.grad.clone()).collect();
+        let _ = layer.forward(&x, true);
+        let _ = layer.backward(&g);
+        for (p, once) in layer.params().iter().zip(&once) {
+            for (twice, once) in p.grad.iter().zip(once) {
+                assert!((twice - 2.0 * once).abs() <= 1e-5 * once.abs().max(1e-3), "{}", p.name());
+            }
+        }
+    }
+
+    /// Gradients go straight into `Param::grad`, so the backward itself
+    /// must refuse frozen (forward-only) parameters, as `accumulate_grad`
+    /// does.
+    #[test]
+    #[should_panic(expected = "frozen")]
+    fn backward_rejects_frozen_params() {
+        let mut rng = seeded_rng(61);
+        let config = PixelflyConfig { block_size: 4, butterfly_size: 4, rank: 2 };
+        let mut layer = PixelflyLayer::new(16, 16, config, &mut rng).expect("valid");
+        let x = Matrix::random_uniform(2, 16, 1.0, &mut rng);
+        let y = layer.forward(&x, true);
+        // Only the block payload: a frozen bias would panic first.
+        layer.sparse_param.freeze();
+        let _ = layer.backward(&y);
     }
 }
