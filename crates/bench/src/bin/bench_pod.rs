@@ -4,14 +4,20 @@
 //! For each pod size the closed-loop generator offers an identical seeded
 //! saturating workload (cache off, so every request computes), and the
 //! server routes micro-batches across the pod's replica occupancy clocks.
-//! Host execution is unchanged — what scales is *simulated device
-//! throughput*: completed requests over the pod's simulated makespan (the
-//! maximum replica clock, µs). A perfectly balanced router makes the
-//! makespan shrink like 1/replicas, so the `scaling` column approaches the
-//! pod size; imbalance and one-time weight loads eat into it. Butterfly and
-//! dense baseline models are swept side by side: a butterfly model's
-//! weights replicate across the pod's IPU-Links almost for free, while the
-//! dense baseline pays ~n²·4 bytes per cold replica — the paper's
+//! Host execution is unchanged — what scales is *simulated device time*.
+//! The `scaling` column is the parallelism of that time: the simulated
+//! device µs retired across the pod over the pod's simulated makespan (the
+//! maximum replica clock). A perfectly balanced router keeps every replica
+//! busy until the last one finishes, so `scaling` approaches the pod size;
+//! imbalance eats into it. One-time weight loads count as busy time and are
+//! reported apart. `scaling` reads one run alone, so it does not depend on
+//! the batch sizes each run happened to form (the batcher seals smaller
+//! batches while a worker sits idle, and every batch pays the IPU's fixed
+//! per-batch cost, so simulated throughput moves with them).
+//!
+//! Butterfly and dense baseline models are swept side by side: a butterfly
+//! model's weights replicate across the pod's IPU-Links almost for free,
+//! while the dense baseline pays ~n²·4 bytes per cold replica — the paper's
 //! compression argument restated as deployment elasticity. Pixelfly (fused
 //! block-sparse + low-rank) rides the same sweep now that its serve path
 //! is allocation-free.
@@ -22,9 +28,7 @@
 use bfly_bench::json::write_bench_json;
 use bfly_bench::{host_cores, smoke_run};
 use bfly_core::{Method, PixelflyConfig};
-use bfly_serve::{
-    Arrivals, CacheConfig, LoadPlan, LoadReport, ReplicaStats, Routing, ServeConfig, Server,
-};
+use bfly_serve::{Arrivals, CacheConfig, LoadPlan, ReplicaStats, Routing, ServeConfig, Server};
 use serde::Serialize;
 use std::time::Duration;
 
@@ -47,9 +51,11 @@ struct RunStats {
     /// Total simulated device time retired across the pod, µs.
     total_device_us: f64,
     /// Completed requests per simulated device second: completed /
-    /// (makespan µs / 1e6). The number that scales with the pod.
+    /// (makespan µs / 1e6). Moves with the run's batch sizes, since every
+    /// batch pays the IPU's per-batch overhead.
     sim_throughput_rps: f64,
-    /// sim_throughput over the same method's pod=1 run.
+    /// Parallelism of simulated busy time: `total_device_us` over
+    /// `pod_makespan_us`. At most the pod size.
     scaling: f64,
     /// Host-side wall-clock throughput (unchanged by the pod: replicas are
     /// simulated devices, the worker pool is the same).
@@ -82,7 +88,7 @@ struct Load {
     per_client: u64,
 }
 
-fn run_once(load: &Load, method: Method, replicas: usize) -> (LoadReport, RunStats) {
+fn run_once(load: &Load, method: Method, replicas: usize) -> RunStats {
     let config = ServeConfig {
         dim: DIM,
         classes: CLASSES,
@@ -94,7 +100,7 @@ fn run_once(load: &Load, method: Method, replicas: usize) -> (LoadReport, RunSta
         workers: WORKERS,
         tensor_cores: false,
         // Cache off: every request must compute, so completed requests map
-        // 1:1 onto simulated device work and the scaling number is honest.
+        // 1:1 onto simulated device work.
         cache: CacheConfig::disabled(),
         replicas,
         routing: ROUTING,
@@ -108,24 +114,26 @@ fn run_once(load: &Load, method: Method, replicas: usize) -> (LoadReport, RunSta
         LoadPlan { models, arrivals, seed: 0xBEE5, pool: POOL, slo_sim_us: None }.run(&server);
     let snapshot = server.shutdown();
     let makespan_us = snapshot.pod_makespan_us;
-    let sim_throughput =
-        if makespan_us > 0.0 { report.completed as f64 / (makespan_us / 1e6) } else { 0.0 };
-    let stats = RunStats {
+    let (sim_throughput, scaling) = if makespan_us > 0.0 {
+        (report.completed as f64 / (makespan_us / 1e6), snapshot.total_device_us / makespan_us)
+    } else {
+        (0.0, 0.0)
+    };
+    RunStats {
         method: name,
         replicas,
         completed: report.completed,
         pod_makespan_us: makespan_us,
         total_device_us: snapshot.total_device_us,
         sim_throughput_rps: sim_throughput,
-        scaling: 1.0, // filled in against the pod=1 run by the sweep
+        scaling,
         wall_throughput_rps: report.throughput_rps,
         latency_p99_us: report.latency_p99_us,
         mean_batch: report.mean_batch,
         weight_load_us: snapshot.replicas.iter().map(|r| r.weight_load_us).sum(),
         cold_loads: snapshot.replicas.iter().map(|r| r.cold_loads).sum(),
         replicas_detail: snapshot.replicas,
-    };
-    (report, stats)
+    }
 }
 
 fn main() {
@@ -139,7 +147,9 @@ fn main() {
 
     println!(
         "bench_pod: dim {DIM}, {} clients x {} requests, batch {MAX_BATCH}, {WORKERS} workers, \
-         routing {}, host cores {}{}\n",
+         routing {}, host cores {}{}\n\
+         wall rps: host wall clock; sim makespan (us), sim rps, scaling, load us: simulated pod \
+         time\n",
         load.clients,
         load.per_client,
         ROUTING.label(),
@@ -147,11 +157,13 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
     println!(
-        "{:>10} {:>4} {:>9} {:>14} {:>14} {:>8} {:>12} {:>10} {:>6}",
+        "{:>10} {:>4} {:>9} {:>10} {:>9} {:>14} {:>14} {:>8} {:>12} {:>10} {:>6}",
         "method",
         "pod",
         "requests",
-        "makespan us",
+        "wall rps",
+        "mbatch",
+        "sim makespan",
         "sim rps",
         "scaling",
         "load us",
@@ -163,24 +175,17 @@ fn main() {
     let methods =
         [Method::Butterfly, Method::Baseline, Method::Pixelfly(PixelflyConfig::paper_default())];
     for &method in &methods {
-        let mut base_throughput = 0.0f64;
         for &replicas in &pod_sizes {
-            let (_, mut stats) = run_once(&load, method, replicas);
-            if replicas == 1 {
-                base_throughput = stats.sim_throughput_rps;
-            }
-            stats.scaling = if base_throughput > 0.0 {
-                stats.sim_throughput_rps / base_throughput
-            } else {
-                0.0
-            };
+            let stats = run_once(&load, method, replicas);
             let min_util =
                 stats.replicas_detail.iter().map(|r| r.utilization).fold(f64::INFINITY, f64::min);
             println!(
-                "{:>10} {:>4} {:>9} {:>14.0} {:>14.0} {:>7.2}x {:>12.1} {:>10.3} {:>6}",
+                "{:>10} {:>4} {:>9} {:>10.0} {:>9.1} {:>14.0} {:>14.0} {:>7.2}x {:>12.1} {:>10.3} {:>6}",
                 stats.method,
                 replicas,
                 stats.completed,
+                stats.wall_throughput_rps,
+                stats.mean_batch,
                 stats.pod_makespan_us,
                 stats.sim_throughput_rps,
                 stats.scaling,

@@ -140,7 +140,10 @@ fn main() {
     println!("IPU (incl. host I/O, PopTorch-style):\n{}", format_table(&headers, &ipu_rows));
 
     // Shape summary vs the paper's headline numbers.
-    let break_even = |s: &[(u32, f64, f64)]| s.iter().find(|(_, b, _)| *b >= 1.0).map(|(e, ..)| *e);
+    let break_even = |s: &[(u32, f64, f64)]| match s.iter().find(|(_, b, _)| *b >= 1.0) {
+        Some((e, ..)) => format!("2^{e}"),
+        None => "none in sweep".to_string(),
+    };
     let worst = |s: &[(u32, f64, f64)], pix: bool| {
         s.iter().map(|&(_, b, p)| 1.0 / if pix { p } else { b }).fold(0.0, f64::max)
     };
@@ -149,7 +152,7 @@ fn main() {
     };
     println!("shape vs paper (S = Linear time / method time; S > 1 means method wins):");
     println!(
-        "  GPU butterfly break-even: 2^{:?} (paper 2^{})",
+        "  GPU butterfly break-even: {} (paper 2^{})",
         break_even(&gpu_speedups),
         fig6::GPU_BREAK_EVEN_EXP
     );
@@ -161,7 +164,7 @@ fn main() {
         fig6::GPU_WORST_PIXELFLY
     );
     println!(
-        "  IPU butterfly break-even: 2^{:?} (paper 2^{})",
+        "  IPU butterfly break-even: {} (paper 2^{})",
         break_even(&ipu_speedups),
         fig6::IPU_BREAK_EVEN_EXP
     );

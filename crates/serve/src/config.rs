@@ -270,8 +270,7 @@ impl AutoscaleConfig {
 /// Tunables of a [`crate::Server`].
 ///
 /// The defaults serve the paper's SHL benchmark shape (1024-dimensional
-/// inputs, 10 classes) with moderate batching; benches sweep `max_batch`
-/// and `max_wait` to show the batching win.
+/// inputs, 10 classes) with moderate batching.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Input dimensionality every registered model accepts.
@@ -284,8 +283,11 @@ pub struct ServeConfig {
     /// (every request is its own batch) — the baseline the bench compares
     /// against.
     pub max_batch: usize,
-    /// How long the batcher holds an under-full batch open waiting for more
-    /// requests before dispatching it anyway.
+    /// Upper bound on how long the batcher holds an under-full batch open
+    /// for more requests, from the batch's first request. It is only reached
+    /// while every worker is busy: once the admission queue is empty, a batch
+    /// seals at once if a worker would take it now. `Duration::MAX` means no
+    /// bound.
     pub max_wait: Duration,
     /// Admission-queue capacity per model; a full queue sheds load with
     /// [`crate::SubmitError::Overloaded`].
@@ -310,7 +312,8 @@ pub struct ServeConfig {
     /// Default per-request deadline, measured from submission: a request
     /// whose batch has not been dispatched by then is answered
     /// [`crate::ServedFrom::DeadlineExceeded`] instead of computed. `None`
-    /// never expires. Overridable per submit via
+    /// never expires, and neither does a deadline too long to represent as
+    /// an instant (such as `Duration::MAX`). Overridable per submit via
     /// [`crate::Server::submit_with_deadline`].
     pub default_deadline: Option<Duration>,
     /// Deterministic schedule of simulated replica faults replayed against

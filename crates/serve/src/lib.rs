@@ -19,8 +19,10 @@
 //! - admits cache misses through a bounded queue with immediate load
 //!   shedding ([`SubmitError::Overloaded`]) when the queue is full;
 //! - coalesces single-sample requests into micro-batches (up to
-//!   `max_batch`, held at most `max_wait`) — the dynamic-batching win the
-//!   `serve_throughput` bench quantifies;
+//!   `max_batch`) — the dynamic-batching win the `serve_throughput` bench
+//!   quantifies; sealing is work-conserving: an under-full batch seals at
+//!   once when a worker is idle and the admission queue is empty, and is
+//!   held at most `max_wait` while every worker is busy;
 //! - routes each micro-batch across a simulated multi-IPU pod
 //!   ([`crate::replica`]): `replicas` simulated devices with per-replica
 //!   occupancy clocks, bounded replica queues, and a [`Routing`] policy

@@ -19,8 +19,10 @@
 //! memoized response without touching the batcher, concurrent identical
 //! requests coalesce onto one pending forward, and only genuine misses
 //! enter the admission queue. Each batcher owns one model's admission queue
-//! and coalesces requests into micro-batches of up to `max_batch`, holding
-//! an under-full batch open for at most `max_wait`. Workers execute whole
+//! and coalesces requests into micro-batches of up to `max_batch`. Sealing
+//! is work-conserving: once the admission queue is empty, an under-full
+//! batch seals at once if a worker would take it now; while every worker is
+//! busy it keeps gathering, for at most `max_wait`. Workers execute whole
 //! batches lock-free — the frozen models are shared immutably through
 //! `Arc`, each worker owns a private scratch arena — then publish the
 //! result to the cache, wake the key's coalesced waiters, and fan responses
@@ -57,9 +59,9 @@ use crate::residency::ModelProfile;
 use bfly_gpu::GpuDevice;
 use bfly_ipu::{IpuDevice, PodSpec};
 use bfly_tensor::{Matrix, Scratch};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -134,6 +136,13 @@ struct Inner {
     /// shutdown latch and action log.
     autoscale: Option<AutoscaleState>,
     completion_counter: AtomicU64,
+    /// Workers executing a batch right now. The batchers read it to seal an
+    /// under-full batch at once when a worker would take it. Counting busy
+    /// rather than idle workers makes a worker thread that has not started
+    /// yet count as free. It publishes no other data (batches travel
+    /// through the batch channel), so `Relaxed` suffices: a stale read only
+    /// seals one batch a little early, or waits as a busy pool would.
+    busy_workers: AtomicUsize,
     ipu: IpuDevice,
     gpu: GpuDevice,
     started: Instant,
@@ -250,6 +259,7 @@ impl Server {
             ingress: RwLock::new(None),
             autoscale,
             completion_counter: AtomicU64::new(0),
+            busy_workers: AtomicUsize::new(0),
             ipu: IpuDevice::gc200(),
             gpu: GpuDevice::a30(),
             started: Instant::now(),
@@ -335,7 +345,8 @@ impl Server {
     /// dispatched within `deadline` of submission it is answered
     /// [`ServedFrom::DeadlineExceeded`] instead of computed (a coalesced
     /// request rides its leader's deadline — if the leader expires, its
-    /// waiters share the answer). `None` never expires.
+    /// waiters share the answer). `None` never expires, and neither does a
+    /// deadline too long to represent as an instant.
     pub fn submit_with_deadline(
         &self,
         model: &str,
@@ -381,7 +392,8 @@ impl Server {
         let senders = guard.as_ref().ok_or(SubmitError::ShuttingDown)?;
         let sender = &senders[loc.within];
         let submitted = Instant::now();
-        let deadline = deadline.map(|d| submitted + d);
+        // A deadline past every representable instant never expires.
+        let deadline = deadline.and_then(|d| submitted.checked_add(d));
 
         let Some(cache) = &self.inner.cache else {
             // Cache off: the pre-cache admission path, verbatim.
@@ -655,9 +667,15 @@ fn autoscaler_loop(inner: &Inner) {
 
 /// Coalesces one model's admitted requests into micro-batches and routes
 /// each batch to a pod replica before handing it to the worker pool.
+///
+/// Batch sealing is work-conserving: once the admission queue is empty, an
+/// under-full batch seals at once if a worker would take it now (fewer
+/// workers busy or spoken for by queued batches than the pool holds).
+/// Otherwise the batcher keeps gathering up to `max_batch`, for at most
+/// `max_wait` after the first request.
 fn batcher_loop(inner: &Inner, model: usize, rx: Receiver<InferRequest>, tx: Sender<Batch>) {
     let max_batch = inner.config.max_batch;
-    let max_wait = inner.config.max_wait;
+    let workers = inner.config.workers;
     let entry = &inner.registry.entries()[model];
     loop {
         // Block for the batch's first request; a disconnected, empty queue
@@ -666,18 +684,27 @@ fn batcher_loop(inner: &Inner, model: usize, rx: Receiver<InferRequest>, tx: Sen
             Ok(request) => request,
             Err(_) => break,
         };
+        // No representable instant (a `Duration::MAX` wait) means no bound.
+        let wait_until = Instant::now().checked_add(inner.config.max_wait);
         let mut requests = vec![first];
-        if max_batch > 1 {
-            let deadline = Instant::now() + max_wait;
-            while requests.len() < max_batch {
-                // Takes whatever is already queued even past the deadline,
-                // so a backlog drains in full batches; only an *empty* queue
-                // ends the wait.
-                match rx.recv_deadline(deadline) {
-                    Ok(request) => requests.push(request),
-                    Err(_) => break,
+        while requests.len() < max_batch {
+            // Whatever is already queued joins the batch, so a backlog
+            // drains in full batches; only an *empty* queue can seal early.
+            let next = match rx.try_recv() {
+                Ok(request) => Some(request),
+                Err(TryRecvError::Disconnected) => None,
+                Err(TryRecvError::Empty)
+                    if inner.busy_workers.load(Ordering::Relaxed) + tx.len() < workers =>
+                {
+                    None
                 }
-            }
+                Err(TryRecvError::Empty) => match wait_until {
+                    Some(deadline) => rx.recv_deadline(deadline).ok(),
+                    None => rx.recv().ok(),
+                },
+            };
+            let Some(request) = next else { break };
+            requests.push(request);
         }
         inner.metrics[model].record_batch(requests.len());
         // Deadlines are checked exactly here, when the batch seals: a
@@ -717,7 +744,9 @@ fn batcher_loop(inner: &Inner, model: usize, rx: Receiver<InferRequest>, tx: Sen
 fn worker_loop(inner: &Inner, rx: Receiver<Batch>) {
     let mut scratch = Scratch::new();
     while let Ok(batch) = rx.recv() {
+        inner.busy_workers.fetch_add(1, Ordering::Relaxed);
         execute_batch(inner, batch, &mut scratch);
+        inner.busy_workers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -1048,6 +1077,56 @@ mod tests {
         let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         assert!(mean > 1.5, "burst of 64 should coalesce, mean batch {mean}");
         server.shutdown();
+    }
+
+    #[test]
+    fn idle_server_seals_a_lone_request_at_once() {
+        // Work-conserving sealing: the only worker is idle and nothing else
+        // is queued, so the batch seals at once instead of holding the lone
+        // request for `max_wait`.
+        let config = ServeConfig {
+            max_wait: Duration::from_secs(10),
+            workers: 1,
+            cache: CacheConfig::disabled(),
+            ..small_config()
+        };
+        let server = Server::start(config, &[Method::Butterfly]).expect("valid");
+        let handle = server.submit("butterfly", 0, 0, vec![0.3; 64]).expect("admitted");
+        let response = handle
+            .wait_timeout(Duration::from_secs(2))
+            .expect("sealed without waiting out max_wait");
+        assert_eq!(response.timing.source, ServedFrom::Compute);
+        assert_eq!(response.timing.batch_size, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn unbounded_wait_and_deadline_serve_requests() {
+        // `Duration::MAX` lies past every representable instant: as a wait
+        // or a deadline it means no bound, not a panic in the batcher or in
+        // the submitting thread.
+        let config = ServeConfig {
+            max_wait: Duration::MAX,
+            default_deadline: Some(Duration::MAX),
+            workers: 1,
+            cache: CacheConfig::disabled(),
+            ..small_config()
+        };
+        let server = Server::start(config, &[Method::Butterfly]).expect("valid");
+        let first = server.submit("butterfly", 0, 0, vec![0.4; 64]).expect("admitted");
+        let response = first.wait_timeout(Duration::from_secs(2)).expect("answered");
+        assert_eq!(response.timing.source, ServedFrom::Compute);
+        // A burst behind the busy worker may wait without a bound for more
+        // arrivals; shutdown seals and drains whatever is still gathering.
+        let handles: Vec<_> = (1..17)
+            .map(|i| server.submit("butterfly", 0, i, vec![i as f32; 64]).expect("admitted"))
+            .collect();
+        let snapshot = server.shutdown();
+        for handle in handles {
+            assert_eq!(handle.wait().expect("drained").timing.source, ServedFrom::Compute);
+        }
+        assert_eq!(snapshot.models[0].completed, 17);
+        assert_eq!(snapshot.models[0].deadline_exceeded, 0);
     }
 
     #[test]
