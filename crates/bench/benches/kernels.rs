@@ -56,29 +56,15 @@ fn bench_butterfly_train_step(c: &mut Criterion) {
         b.iter(|| layer.forward(&x, true))
     });
     let butterfly = Butterfly::random(n, &mut rng);
+    let stages = butterfly.views();
     let bias = vec![0.0f32; n];
     let (mut arena, mut scratch) = (Vec::new(), Scratch::new());
-    let y = fused_forward_train(
-        &x,
-        &butterfly.perm,
-        &butterfly.factors,
-        &bias,
-        &mut arena,
-        &mut scratch,
-    );
+    let y = fused_forward_train(&x, &butterfly.perm, &stages, &bias, &mut arena, &mut scratch);
     group.bench_with_input(BenchmarkId::new("backward", n), &n, |b, _| {
         b.iter(|| {
-            fused_backward(
-                &y,
-                &butterfly.perm,
-                &butterfly.factors,
-                &arena,
-                n,
-                &mut scratch,
-                |_, g| {
-                    std::hint::black_box(g);
-                },
-            )
+            fused_backward(&y, &butterfly.perm, &stages, &arena, n, &mut scratch, |_, g| {
+                std::hint::black_box(g);
+            })
         })
     });
     group.bench_with_input(BenchmarkId::new("fwd_bwd", n), &n, |b, _| {

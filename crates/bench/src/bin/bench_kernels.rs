@@ -123,6 +123,7 @@ fn assert_bit_identical(what: &str, n: usize, batch: usize, oracle: &[f32], fuse
 fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
     let mut rng = seeded_rng(0xF00D + n as u64);
     let b = Butterfly::random(n, &mut rng);
+    let stages = b.views();
     let x = Matrix::random_uniform(batch, n, 1.0, &mut rng);
     let bias = vec![0.01f32; n];
     let mut scratch = Scratch::new();
@@ -137,12 +138,12 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
     check(
         "infer",
         oracle_apply(&b, &x, Some(&bias)).as_slice(),
-        fused_forward(&x, &b.perm, &b.factors, &bias, &mut scratch).as_slice(),
+        fused_forward(&x, &b.perm, &stages, &bias, &mut scratch).as_slice(),
     );
     // Backward consumes the forward caches; both sides keep theirs from
     // this untimed pass (the caches are read-only for backward).
     let (y, caches) = oracle_forward_train(&b, &x, &bias);
-    let fused_y = fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
+    let fused_y = fused_forward_train(&x, &b.perm, &stages, &bias, &mut arena, &mut scratch);
     check("train", y.as_slice(), fused_y.as_slice());
     let mut oracle_gt = zero_twiddle_grads(&b);
     let mut fused_gt = zero_twiddle_grads(&b);
@@ -152,7 +153,7 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
         }
     };
     let oracle_dx = oracle_backward(&b, &caches, &y, &mut oracle_gt);
-    let fused_dx = fused_backward(&y, &b.perm, &b.factors, &arena, n, &mut scratch, |s, flat| {
+    let fused_dx = fused_backward(&y, &b.perm, &stages, &arena, n, &mut scratch, |s, flat| {
         accumulate(&mut fused_gt, s, flat);
     });
     check("backward dX", oracle_dx.as_slice(), fused_dx.as_slice());
@@ -180,14 +181,7 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
             black_box(oracle_forward_train(&b, &x, &bias));
         },
         || {
-            black_box(fused_forward_train(
-                &x,
-                &b.perm,
-                &b.factors,
-                &bias,
-                &mut arena,
-                &mut scratch,
-            ));
+            black_box(fused_forward_train(&x, &b.perm, &stages, &bias, &mut arena, &mut scratch));
         },
     );
     let backward = Arm::time(
@@ -196,15 +190,9 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
             black_box(oracle_backward(&b, &caches, &y, &mut oracle_gt));
         },
         || {
-            black_box(fused_backward(
-                &y,
-                &b.perm,
-                &b.factors,
-                &arena,
-                n,
-                &mut scratch,
-                |s, flat| accumulate(&mut fused_gt, s, flat),
-            ));
+            black_box(fused_backward(&y, &b.perm, &stages, &arena, n, &mut scratch, |s, flat| {
+                accumulate(&mut fused_gt, s, flat)
+            }));
         },
     );
     let infer = Arm::time(
@@ -213,7 +201,7 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
             black_box(oracle_apply(&b, &x, Some(&bias)));
         },
         || {
-            black_box(fused_forward(&x, &b.perm, &b.factors, &bias, &mut scratch));
+            black_box(fused_forward(&x, &b.perm, &stages, &bias, &mut scratch));
         },
     );
     KernelPoint { n, batch, samples, apply, train, backward, infer }

@@ -9,6 +9,7 @@
 //! `T = B P` with `P` a fixed permutation (bit reversal recovers the
 //! Cooley-Tukey FFT dataflow; Eq. 1 is the special case with FFT twiddles).
 
+use crate::kernels::{StageKernel, TwiddleStage};
 use bfly_tensor::{Matrix, Permutation};
 use rand::Rng;
 use rayon::prelude::*;
@@ -246,6 +247,15 @@ impl Butterfly {
         self.perm.inverse().apply(&y)
     }
 
+    /// Borrowed stage views over the factors, in application order — the
+    /// form the fused kernels of [`crate::kernels`] take.
+    pub fn views(&self) -> Vec<TwiddleStage<'_>> {
+        self.factors
+            .iter()
+            .map(|f| TwiddleStage { block_size: f.block_size, twiddles: &f.twiddles })
+            .collect()
+    }
+
     /// Applies the transform to every row of a batch matrix in parallel.
     ///
     /// Fused and allocation-free per row: the permutation gathers straight
@@ -253,21 +263,21 @@ impl Butterfly {
     /// it is cache-resident — no per-row `Vec` as the old per-row `apply`
     /// path had.
     pub fn apply_batch(&self, x: &Matrix) -> Matrix {
-        use crate::kernels::StageKernel;
         assert_eq!(x.cols(), self.n, "butterfly batch width mismatch");
         let map = self.perm.map();
+        let stages = self.views();
         let mut out = Matrix::zeros(x.rows(), self.n);
         // Planar twiddle repack, once per batch (see `kernels`); not worth
         // the deinterleave sweep for tiny batches.
         let use_planar = x.rows() >= 8;
         let total: usize =
-            if use_planar { self.factors.iter().map(|f| f.planar_len()).sum() } else { 0 };
+            if use_planar { stages.iter().map(StageKernel::planar_len).sum() } else { 0 };
         let mut planar = vec![0.0f32; total];
         if use_planar {
             let mut off = 0;
-            for f in &self.factors {
-                let l = f.planar_len();
-                f.repack_planar(&mut planar[off..off + l]);
+            for stage in &stages {
+                let l = stage.planar_len();
+                stage.repack_planar(&mut planar[off..off + l]);
                 off += l;
             }
         }
@@ -279,14 +289,14 @@ impl Butterfly {
                 }
                 if use_planar {
                     let mut off = 0;
-                    for f in &self.factors {
-                        let l = f.planar_len();
-                        f.apply_row_planar(&planar_ref[off..off + l], dst);
+                    for stage in &stages {
+                        let l = stage.planar_len();
+                        stage.apply_row_planar(&planar_ref[off..off + l], dst);
                         off += l;
                     }
                 } else {
-                    for f in &self.factors {
-                        f.apply_in_place(dst);
+                    for stage in &stages {
+                        stage.apply_row(dst);
                     }
                 }
             },

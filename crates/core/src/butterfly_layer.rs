@@ -1,10 +1,10 @@
 //! Butterfly factorization as a drop-in replacement for `nn.Linear`
 //! (the Table 4 "Butterfly" method).
 
-use crate::butterfly::Butterfly;
+use crate::butterfly::{Butterfly, ButterflyFactor};
 use crate::kernels::{fused_backward, fused_forward, fused_forward_train, TwiddleStage};
 use bfly_nn::{Layer, Param};
-use bfly_tensor::{LinOp, Matrix, Scratch};
+use bfly_tensor::{LinOp, Matrix, Permutation, Scratch};
 use rand::Rng;
 
 /// A learnable butterfly layer `y = crop(B P pad(x)) + bias`.
@@ -14,17 +14,18 @@ use rand::Rng;
 /// input and cropping the output (the butterfly itself must be a power of
 /// two — §2.3). Parameters: `2 n log2 n` twiddles plus `out_dim` bias.
 ///
-/// Both forward paths run the fused kernels of [`crate::kernels`]: one
-/// parallel pass over row blocks with no per-stage matrix traffic. Training
-/// stage caches live in a reusable flat arena, and the factor storage is
-/// re-synced from the parameters only when an optimizer step marked them
-/// dirty (the twiddle layout is flat, so sync is one `copy_from_slice` per
-/// factor).
+/// The twiddles live only in the factor parameters, in the flat layout the
+/// fused kernels of [`crate::kernels`] read: every forward and backward
+/// borrows them as [`TwiddleStage`] views, so an optimizer step is seen by
+/// the next call without any copy. Training stage caches live in a reusable
+/// flat arena.
 pub struct ButterflyLayer {
     in_dim: usize,
     out_dim: usize,
-    butterfly: Butterfly,
-    /// One flat parameter per factor, quadruples `[a, b, c, d]` per twiddle.
+    /// The fixed input permutation `P`.
+    perm: Permutation,
+    /// One flat parameter per factor in application order, quadruples
+    /// `[a, b, c, d]` per twiddle; factor `s` has block size `2 << s`.
     factor_params: Vec<Param>,
     bias: Param,
     /// Stage-input cache `[row][stage][n]`, reused across training steps.
@@ -35,35 +36,29 @@ pub struct ButterflyLayer {
     scratch: Scratch,
 }
 
+/// Stage views over per-factor twiddles in application order (factor `s`
+/// has block size `2 << s`).
+fn twiddle_stages<'a>(twiddles: impl IntoIterator<Item = &'a [f32]>) -> Vec<TwiddleStage<'a>> {
+    twiddles
+        .into_iter()
+        .enumerate()
+        .map(|(s, t)| TwiddleStage { block_size: 2 << s, twiddles: t })
+        .collect()
+}
+
 impl ButterflyLayer {
     /// Creates a butterfly layer with rotation-initialised twiddles and zero
     /// bias.
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
-        assert!(in_dim >= 1 && out_dim >= 1);
         let n = in_dim.max(out_dim).next_power_of_two().max(2);
-        let butterfly = Butterfly::random(n, rng);
-        let factor_params = butterfly
-            .factors
-            .iter()
-            .enumerate()
-            .map(|(s, f)| Param::new(format!("butterfly.factor{s}"), f.twiddles.clone()))
-            .collect();
-        Self {
-            in_dim,
-            out_dim,
-            butterfly,
-            factor_params,
-            bias: Param::new("butterfly.bias", vec![0.0; out_dim]),
-            arena: Vec::new(),
-            cached_rows: None,
-            scratch: Scratch::new(),
-        }
+        Self::from_butterfly(in_dim, out_dim, Butterfly::random(n, rng), vec![0.0; out_dim])
     }
 
     /// Builds a layer around an existing factorization — the deployment path
     /// for offline compression, where the twiddles come from a fit against a
     /// trained dense weight rather than random initialisation. The layer is
-    /// fully trainable, so a compressed model can be fine-tuned.
+    /// fully trainable, so a compressed model can be fine-tuned. Each
+    /// factor's twiddle storage moves into its parameter.
     ///
     /// # Panics
     /// Panics if the butterfly's size is not the layer's transform size
@@ -78,16 +73,19 @@ impl ButterflyLayer {
         let n = in_dim.max(out_dim).next_power_of_two().max(2);
         assert_eq!(butterfly.n(), n, "butterfly size must be next_pow2(max(in, out))");
         assert_eq!(bias.len(), out_dim, "bias length must match out_dim");
-        let factor_params = butterfly
-            .factors
-            .iter()
+        let Butterfly { factors, perm, .. } = butterfly;
+        let factor_params = factors
+            .into_iter()
             .enumerate()
-            .map(|(s, f)| Param::new(format!("butterfly.factor{s}"), f.twiddles.clone()))
+            .map(|(s, f)| {
+                assert_eq!(f.block_size, 2 << s, "factor {s} has the wrong block size");
+                Param::new(format!("butterfly.factor{s}"), f.twiddles)
+            })
             .collect();
         Self {
             in_dim,
             out_dim,
-            butterfly,
+            perm,
             factor_params,
             bias: Param::new("butterfly.bias", bias),
             arena: Vec::new(),
@@ -98,44 +96,32 @@ impl ButterflyLayer {
 
     /// Internal transform size.
     pub fn transform_size(&self) -> usize {
-        self.butterfly.n()
-    }
-
-    /// Copies current parameter values into the butterfly's factor storage —
-    /// only when a parameter was marked dirty (optimizer step or direct
-    /// value write) since the last sync.
-    fn sync_params_into_butterfly(&mut self) {
-        let mut dirty = false;
-        for p in &mut self.factor_params {
-            // No short-circuit: every flag must be consumed.
-            dirty |= p.take_dirty();
-        }
-        if !dirty {
-            return;
-        }
-        for (f, p) in self.butterfly.factors.iter_mut().zip(&self.factor_params) {
-            f.twiddles.copy_from_slice(&p.value);
-        }
+        self.perm.len()
     }
 
     /// Materialises the effective dense weight `W (out x in)` this layer
     /// currently represents (tests / inspection; O(n^2 log n)).
-    pub fn effective_weight(&mut self) -> Matrix {
-        self.sync_params_into_butterfly();
-        let t = self.butterfly.materialize();
-        t.submatrix(0, 0, self.out_dim, self.in_dim)
+    pub fn effective_weight(&self) -> Matrix {
+        let factors = self
+            .factor_params
+            .iter()
+            .enumerate()
+            .map(|(s, p)| ButterflyFactor { block_size: 2 << s, twiddles: p.value.clone() })
+            .collect();
+        let butterfly = Butterfly::from_factors(self.perm.len(), factors, self.perm.clone());
+        butterfly.materialize().submatrix(0, 0, self.out_dim, self.in_dim)
     }
 }
 
 impl Layer for ButterflyLayer {
     fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
         assert_eq!(input.cols(), self.in_dim, "ButterflyLayer input dim mismatch");
-        self.sync_params_into_butterfly();
+        let stages = twiddle_stages(self.factor_params.iter().map(|p| &p.value[..]));
         if train {
             let out = fused_forward_train(
                 input,
-                &self.butterfly.perm,
-                &self.butterfly.factors,
+                &self.perm,
+                &stages,
                 &self.bias.value,
                 &mut self.arena,
                 &mut self.scratch,
@@ -143,28 +129,14 @@ impl Layer for ButterflyLayer {
             self.cached_rows = Some(input.rows());
             out
         } else {
-            fused_forward(
-                input,
-                &self.butterfly.perm,
-                &self.butterfly.factors,
-                &self.bias.value,
-                &mut self.scratch,
-            )
+            fused_forward(input, &self.perm, &stages, &self.bias.value, &mut self.scratch)
         }
     }
 
     fn forward_inference(&self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
         assert_eq!(input.cols(), self.in_dim, "ButterflyLayer input dim mismatch");
-        // Immutable receiver: run on borrowed parameter values directly (the
-        // source of truth), so no factor sync is needed.
-        let stages: Vec<TwiddleStage<'_>> = self
-            .butterfly
-            .factors
-            .iter()
-            .zip(&self.factor_params)
-            .map(|(f, p)| TwiddleStage { block_size: f.block_size, twiddles: &p.value })
-            .collect();
-        fused_forward(input, &self.butterfly.perm, &stages, &self.bias.value, scratch)
+        let stages = twiddle_stages(self.factor_params.iter().map(|p| &p.value[..]));
+        fused_forward(input, &self.perm, &stages, &self.bias.value, scratch)
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
@@ -185,15 +157,16 @@ impl Layer for ButterflyLayer {
         }
         self.bias.accumulate_grad(&db);
 
-        let factor_params = &mut self.factor_params;
+        let (twiddles, mut grads): (Vec<_>, Vec<_>) =
+            self.factor_params.iter_mut().map(Param::value_and_grad).unzip();
         fused_backward(
             grad_output,
-            &self.butterfly.perm,
-            &self.butterfly.factors,
+            &self.perm,
+            &twiddle_stages(twiddles),
             &self.arena,
             self.in_dim,
             &mut self.scratch,
-            |s, flat| factor_params[s].accumulate_grad(flat),
+            |s, flat| grads[s].iter_mut().zip(flat).for_each(|(g, d)| *g += d),
         )
     }
 
@@ -212,14 +185,14 @@ impl Layer for ButterflyLayer {
     }
 
     fn trace(&self, batch: usize) -> Vec<LinOp> {
-        let n = self.butterfly.n();
+        let n = self.perm.len();
         let mut ops = vec![LinOp::Permute { rows: batch, width: n }];
         // Each factor is a Twiddle op over n/2 pairs — crucially, log2(n)
         // *separate* small operations (separate kernels on the GPU /
         // compute sets on the IPU) executed as strided multiply-adds rather
         // than one tuned dense matmul: this is the source of the
         // factorization overhead both devices pay at small N in Fig 6.
-        for _ in 0..self.butterfly.stages() {
+        for _ in 0..self.factor_params.len() {
             ops.push(LinOp::Twiddle { pairs: n / 2, batch });
         }
         ops.push(LinOp::Elementwise { n: batch * self.out_dim, flops_per_elem: 1 });
@@ -298,7 +271,6 @@ mod tests {
         assert_eq!(via_train.as_slice(), via_inference.as_slice());
         // Inference must also track parameter updates without a sync step.
         layer.factor_params[0].value[0] += 0.25;
-        layer.factor_params[0].mark_dirty();
         let after_train = layer.forward(&x, false);
         let after_inference = layer.forward_inference(&x, &mut scratch);
         assert_eq!(after_train.as_slice(), after_inference.as_slice());
@@ -335,7 +307,7 @@ mod tests {
         let n = 8;
         let mut rng = seeded_rng(48);
         let mut student = ButterflyLayer::new(n, n, &mut rng);
-        let mut teacher = ButterflyLayer::new(n, n, &mut rng);
+        let teacher = ButterflyLayer::new(n, n, &mut rng);
         let target = teacher.effective_weight();
         let opt = Sgd::new(0.05, 0.9);
         let mut initial_loss = None;

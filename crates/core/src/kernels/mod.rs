@@ -21,8 +21,6 @@
 //! steps) instead of per-stage matrix clones. The only allocation in steady
 //! state is the returned output matrix.
 
-use crate::butterfly::ButterflyFactor;
-use crate::ortho::OrthoFactor;
 use bfly_tensor::{Matrix, Permutation, Scratch};
 use rayon::prelude::*;
 
@@ -45,8 +43,9 @@ const PLANAR_MIN_BATCH: usize = 8;
 
 /// Applies one flat-twiddle butterfly stage in place to a transform-width
 /// row. `twiddles` holds `[a, b, c, d]` quadruples (see
-/// [`ButterflyFactor::twiddles`]); free function so both owned factors and
-/// borrowed parameter slices share the exact same arithmetic.
+/// [`ButterflyFactor::twiddles`](crate::butterfly::ButterflyFactor::twiddles));
+/// free function so both owned factors and borrowed parameter slices share
+/// the exact same arithmetic.
 #[inline]
 pub fn apply_twiddle_stage(block_size: usize, twiddles: &[f32], x: &mut [f32]) {
     let half = block_size / 2;
@@ -87,7 +86,8 @@ pub fn apply_twiddle_stage_into(block_size: usize, twiddles: &[f32], src: &[f32]
 }
 
 /// Applies one Givens-rotation stage in place to a transform-width row
-/// (the [`OrthoFactor`] parametrization: one angle per mixed pair).
+/// (the [`OrthoFactor`](crate::ortho::OrthoFactor) parametrization: one
+/// angle per mixed pair).
 #[inline]
 pub fn apply_rotation_stage(block_size: usize, angles: &[f32], x: &mut [f32]) {
     let half = block_size / 2;
@@ -399,8 +399,8 @@ fn rotation_stage_into_planar_impl(
 /// Backward through one rotation stage for one row, reading the
 /// `[sin..][cos..]` planes of [`repack_angles_planar`] instead of calling
 /// `sin_cos` per pair: the same call on the same angle, so bit-identical to
-/// [`OrthoFactor::backward_in_place`]. One angle gradient per pair, so the
-/// accumulators need no planar layout.
+/// [`OrthoFactor::backward_in_place`](crate::ortho::OrthoFactor::backward_in_place).
+/// One angle gradient per pair, so the accumulators need no planar layout.
 #[inline(always)]
 fn rotation_backward_planar(
     block_size: usize,
@@ -428,58 +428,39 @@ fn rotation_backward_planar(
 
 /// One in-place butterfly stage, as seen by the fused kernels.
 ///
-/// Implemented by owned factors ([`ButterflyFactor`], [`OrthoFactor`]) and by
-/// the borrowed views ([`TwiddleStage`], [`AngleStage`]) that the `&self`
-/// inference path builds directly over parameter slices.
+/// Implemented by the borrowed views [`TwiddleStage`] and [`AngleStage`],
+/// which layers build over their parameter slices and owned transforms
+/// build with `views()`: the weights are stored once, wherever their owner
+/// keeps them.
 pub trait StageKernel: Sync {
     /// Applies the stage in place to one transform-width row.
     fn apply_row(&self, row: &mut [f32]);
 
     /// Applies the stage out of place: reads the input from `src`, writes
-    /// the output to `dst` (every position written). Must be bit-identical
-    /// to copying `src` into `dst` and calling [`StageKernel::apply_row`] —
-    /// which is exactly what the default does; stage types override it to
-    /// skip the copy.
-    #[inline]
-    fn apply_row_into(&self, src: &[f32], dst: &mut [f32]) {
-        dst.copy_from_slice(src);
-        self.apply_row(dst);
-    }
+    /// the output to `dst` (every position written). Bit-identical to
+    /// copying `src` into `dst` and calling [`StageKernel::apply_row`].
+    fn apply_row_into(&self, src: &[f32], dst: &mut [f32]);
 
-    /// Scratch floats this stage's planar repack needs; `0` means the stage
-    /// has no planar fast path and the `*_planar` methods fall back to the
-    /// canonical storage.
-    #[inline]
-    fn planar_len(&self) -> usize {
-        0
-    }
+    /// Scratch floats this stage's planar repack needs.
+    fn planar_len(&self) -> usize;
 
     /// Writes the planar repack consumed by [`StageKernel::apply_row_planar`]
     /// into `dst` (`dst.len() == self.planar_len()`). Batched callers run
     /// this once per call so the per-row loops read contiguous coefficient
     /// planes (and rotation stages pay their `sin_cos` once, not per row).
-    #[inline]
-    fn repack_planar(&self, _dst: &mut [f32]) {}
+    fn repack_planar(&self, dst: &mut [f32]);
 
     /// [`StageKernel::apply_row`] reading parameters from the planar repack;
     /// must be bit-identical to it.
-    #[inline]
-    fn apply_row_planar(&self, _planar: &[f32], row: &mut [f32]) {
-        self.apply_row(row);
-    }
+    fn apply_row_planar(&self, planar: &[f32], row: &mut [f32]);
 
     /// [`StageKernel::apply_row_into`] reading parameters from the planar
     /// repack; must be bit-identical to it.
-    #[inline]
-    fn apply_row_into_planar(&self, _planar: &[f32], src: &[f32], dst: &mut [f32]) {
-        self.apply_row_into(src, dst);
-    }
+    fn apply_row_into_planar(&self, planar: &[f32], src: &[f32], dst: &mut [f32]);
 }
 
-/// A stage that can also backpropagate, for the fused training path.
-///
-/// [`fused_backward`] always runs on the planar repack, so implementors
-/// must provide [`StageKernel::repack_planar`].
+/// A stage that can also backpropagate, for the fused training path, which
+/// always runs on the planar repack.
 pub trait StageBackward: StageKernel {
     /// Length of the per-stage parameter-gradient accumulator (the same in
     /// the planar and the flat layout).
@@ -501,108 +482,14 @@ pub trait StageBackward: StageKernel {
     fn unpack_grad(&self, grad_planar: &[f32], flat: &mut [f32]);
 }
 
-impl StageKernel for ButterflyFactor {
-    #[inline]
-    fn apply_row(&self, row: &mut [f32]) {
-        apply_twiddle_stage(self.block_size, &self.twiddles, row);
-    }
-    #[inline]
-    fn apply_row_into(&self, src: &[f32], dst: &mut [f32]) {
-        apply_twiddle_stage_into(self.block_size, &self.twiddles, src, dst);
-    }
-    #[inline]
-    fn planar_len(&self) -> usize {
-        self.twiddles.len()
-    }
-    #[inline]
-    fn repack_planar(&self, dst: &mut [f32]) {
-        repack_twiddles_planar(&self.twiddles, dst);
-    }
-    #[inline]
-    fn apply_row_planar(&self, planar: &[f32], row: &mut [f32]) {
-        apply_twiddle_stage_planar(self.block_size, planar, row);
-    }
-    #[inline]
-    fn apply_row_into_planar(&self, planar: &[f32], src: &[f32], dst: &mut [f32]) {
-        apply_twiddle_stage_into_planar(self.block_size, planar, src, dst);
-    }
-}
-
-impl StageBackward for ButterflyFactor {
-    #[inline]
-    fn grad_len(&self) -> usize {
-        self.twiddles.len()
-    }
-    #[inline(always)]
-    fn backward_row_planar(
-        &self,
-        planar: &[f32],
-        x: &[f32],
-        grad: &mut [f32],
-        grad_planar: &mut [f32],
-    ) {
-        tiles::twiddle_backward(self.block_size, planar, x, grad, grad_planar);
-    }
-    #[inline]
-    fn unpack_grad(&self, grad_planar: &[f32], flat: &mut [f32]) {
-        unpack_twiddles_planar(grad_planar, flat);
-    }
-}
-
-impl StageKernel for OrthoFactor {
-    #[inline]
-    fn apply_row(&self, row: &mut [f32]) {
-        apply_rotation_stage(self.block_size, &self.angles, row);
-    }
-    #[inline]
-    fn apply_row_into(&self, src: &[f32], dst: &mut [f32]) {
-        apply_rotation_stage_into(self.block_size, &self.angles, src, dst);
-    }
-    #[inline]
-    fn planar_len(&self) -> usize {
-        2 * self.angles.len()
-    }
-    #[inline]
-    fn repack_planar(&self, dst: &mut [f32]) {
-        repack_angles_planar(&self.angles, dst);
-    }
-    #[inline]
-    fn apply_row_planar(&self, planar: &[f32], row: &mut [f32]) {
-        apply_rotation_stage_planar(self.block_size, planar, row);
-    }
-    #[inline]
-    fn apply_row_into_planar(&self, planar: &[f32], src: &[f32], dst: &mut [f32]) {
-        apply_rotation_stage_into_planar(self.block_size, planar, src, dst);
-    }
-}
-
-impl StageBackward for OrthoFactor {
-    #[inline]
-    fn grad_len(&self) -> usize {
-        self.angles.len()
-    }
-    #[inline(always)]
-    fn backward_row_planar(
-        &self,
-        planar: &[f32],
-        x: &[f32],
-        grad: &mut [f32],
-        grad_planar: &mut [f32],
-    ) {
-        rotation_backward_planar(self.block_size, planar, x, grad, grad_planar);
-    }
-    #[inline]
-    fn unpack_grad(&self, grad_planar: &[f32], flat: &mut [f32]) {
-        flat.copy_from_slice(grad_planar);
-    }
-}
-
-/// A butterfly stage borrowing its flat twiddles straight from a parameter
-/// slice — what lets `forward_inference(&self)` skip factor sync entirely.
+/// A butterfly stage borrowing its flat twiddles from wherever they are
+/// stored: a layer's parameter or a [`Butterfly`](crate::butterfly::Butterfly)
+/// factor.
 pub struct TwiddleStage<'a> {
     /// Block width of the stage.
     pub block_size: usize,
-    /// Borrowed flat twiddles (layout of [`ButterflyFactor::twiddles`]).
+    /// Borrowed flat twiddles (layout of
+    /// [`ButterflyFactor::twiddles`](crate::butterfly::ButterflyFactor::twiddles)).
     pub twiddles: &'a [f32],
 }
 
@@ -633,7 +520,30 @@ impl StageKernel for TwiddleStage<'_> {
     }
 }
 
-/// A rotation stage borrowing its angles straight from a parameter slice.
+impl StageBackward for TwiddleStage<'_> {
+    #[inline]
+    fn grad_len(&self) -> usize {
+        self.twiddles.len()
+    }
+    #[inline(always)]
+    fn backward_row_planar(
+        &self,
+        planar: &[f32],
+        x: &[f32],
+        grad: &mut [f32],
+        grad_planar: &mut [f32],
+    ) {
+        tiles::twiddle_backward(self.block_size, planar, x, grad, grad_planar);
+    }
+    #[inline]
+    fn unpack_grad(&self, grad_planar: &[f32], flat: &mut [f32]) {
+        unpack_twiddles_planar(grad_planar, flat);
+    }
+}
+
+/// A rotation stage borrowing its angles from wherever they are stored: a
+/// layer's parameter or an [`OrthoButterfly`](crate::ortho::OrthoButterfly)
+/// factor.
 pub struct AngleStage<'a> {
     /// Block width of the stage.
     pub block_size: usize,
@@ -665,6 +575,27 @@ impl StageKernel for AngleStage<'_> {
     #[inline]
     fn apply_row_into_planar(&self, planar: &[f32], src: &[f32], dst: &mut [f32]) {
         apply_rotation_stage_into_planar(self.block_size, planar, src, dst);
+    }
+}
+
+impl StageBackward for AngleStage<'_> {
+    #[inline]
+    fn grad_len(&self) -> usize {
+        self.angles.len()
+    }
+    #[inline(always)]
+    fn backward_row_planar(
+        &self,
+        planar: &[f32],
+        x: &[f32],
+        grad: &mut [f32],
+        grad_planar: &mut [f32],
+    ) {
+        rotation_backward_planar(self.block_size, planar, x, grad, grad_planar);
+    }
+    #[inline]
+    fn unpack_grad(&self, grad_planar: &[f32], flat: &mut [f32]) {
+        flat.copy_from_slice(grad_planar);
     }
 }
 
@@ -1014,7 +945,7 @@ mod tests {
         // Ragged: 11 input columns, 7 outputs, batch crossing a block edge.
         let x = Matrix::random_uniform(37, 11, 1.0, &mut rng);
         let mut scratch = Scratch::new();
-        let fused = fused_forward(&x, &b.perm, &b.factors, &bias, &mut scratch);
+        let fused = fused_forward(&x, &b.perm, &b.views(), &bias, &mut scratch);
         let reference = reference_forward(&b, &x, &bias);
         assert_eq!(fused.as_slice(), reference.as_slice());
     }
@@ -1028,8 +959,8 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut arena = Vec::new();
         let via_train =
-            fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
-        let via_infer = fused_forward(&x, &b.perm, &b.factors, &bias, &mut scratch);
+            fused_forward_train(&x, &b.perm, &b.views(), &bias, &mut arena, &mut scratch);
+        let via_infer = fused_forward(&x, &b.perm, &b.views(), &bias, &mut scratch);
         assert_eq!(via_train.as_slice(), via_infer.as_slice());
         assert_eq!(arena.len(), 5 * b.stages() * 8);
         // Arena slot 0 of row 0 must be the permuted input row.
@@ -1049,11 +980,11 @@ mod tests {
             let x = Matrix::random_uniform(3, n, 1.0, &mut rng);
             let mut scratch = Scratch::new();
             let mut arena = Vec::new();
-            let y = fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
+            let y = fused_forward_train(&x, &b.perm, &b.views(), &bias, &mut arena, &mut scratch);
 
             let mut fused_gt: Vec<Vec<f32>> =
                 b.factors.iter().map(|f| vec![0.0f32; f.twiddles.len()]).collect();
-            let gx = fused_backward(&y, &b.perm, &b.factors, &arena, n, &mut scratch, |s, flat| {
+            let gx = fused_backward(&y, &b.perm, &b.views(), &arena, n, &mut scratch, |s, flat| {
                 for (acc, v) in fused_gt[s].iter_mut().zip(flat) {
                     *acc += v;
                 }
@@ -1185,10 +1116,10 @@ mod tests {
                         special_grads(batch * out_dim, nonfinite, &mut rng),
                     );
                     let what = format!("n {n} batch {batch} nonfinite {nonfinite}");
-                    fused_forward_train(&x, &b.perm, &b.factors, &bias, &mut arena, &mut scratch);
-                    check(&format!("butterfly {what}"), &g, &b.perm, &b.factors, &arena, in_dim);
-                    fused_forward_train(&x, &o.perm, &o.factors, &bias, &mut arena, &mut scratch);
-                    check(&format!("ortho {what}"), &g, &o.perm, &o.factors, &arena, in_dim);
+                    fused_forward_train(&x, &b.perm, &b.views(), &bias, &mut arena, &mut scratch);
+                    check(&format!("butterfly {what}"), &g, &b.perm, &b.views(), &arena, in_dim);
+                    fused_forward_train(&x, &o.perm, &o.views(), &bias, &mut arena, &mut scratch);
+                    check(&format!("ortho {what}"), &g, &o.perm, &o.views(), &arena, in_dim);
                 }
             }
         }

@@ -123,6 +123,15 @@ impl OrthoButterfly {
         self.factors.iter().map(|f| f.angles.len()).sum()
     }
 
+    /// Borrowed stage views over the factors, in application order — the
+    /// form the fused kernels of [`crate::kernels`] take.
+    pub fn views(&self) -> Vec<AngleStage<'_>> {
+        self.factors
+            .iter()
+            .map(|f| AngleStage { block_size: f.block_size, angles: &f.angles })
+            .collect()
+    }
+
     /// Applies the transform to one vector.
     pub fn apply(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.n, "input length mismatch");
@@ -160,11 +169,16 @@ impl OrthoButterfly {
 /// The orthogonal butterfly as a trainable layer: `y = crop(R P pad(x)) + b`.
 ///
 /// Parameter budget at n = 1024 matches the paper's Table 4 butterfly row
-/// to within 4 parameters (see module docs).
+/// to within 4 parameters (see module docs). The angles live only in the
+/// factor parameters; every kernel call borrows them as [`AngleStage`]
+/// views.
 pub struct OrthoButterflyLayer {
     in_dim: usize,
     out_dim: usize,
-    butterfly: OrthoButterfly,
+    /// The fixed input permutation.
+    perm: Permutation,
+    /// One angle parameter per factor in application order; factor `s` has
+    /// block size `2 << s`.
     angle_params: Vec<Param>,
     bias: Param,
     /// Stage-input cache `[row][stage][n]`, reused across training steps.
@@ -173,21 +187,30 @@ pub struct OrthoButterflyLayer {
     scratch: Scratch,
 }
 
+/// Stage views over per-factor angles in application order (factor `s` has
+/// block size `2 << s`).
+fn angle_stages<'a>(angles: impl IntoIterator<Item = &'a [f32]>) -> Vec<AngleStage<'a>> {
+    angles
+        .into_iter()
+        .enumerate()
+        .map(|(s, a)| AngleStage { block_size: 2 << s, angles: a })
+        .collect()
+}
+
 impl OrthoButterflyLayer {
     /// Creates a layer with random rotations and zero bias.
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         let n = in_dim.max(out_dim).next_power_of_two().max(2);
-        let butterfly = OrthoButterfly::random(n, rng);
-        let angle_params = butterfly
-            .factors
-            .iter()
+        let OrthoButterfly { factors, perm, .. } = OrthoButterfly::random(n, rng);
+        let angle_params = factors
+            .into_iter()
             .enumerate()
-            .map(|(s, f)| Param::new(format!("ortho.factor{s}"), f.angles.clone()))
+            .map(|(s, f)| Param::new(format!("ortho.factor{s}"), f.angles))
             .collect();
         Self {
             in_dim,
             out_dim,
-            butterfly,
+            perm,
             angle_params,
             bias: Param::new("ortho.bias", vec![0.0; out_dim]),
             arena: Vec::new(),
@@ -198,40 +221,31 @@ impl OrthoButterflyLayer {
 
     /// Internal transform size.
     pub fn transform_size(&self) -> usize {
-        self.butterfly.n()
-    }
-
-    /// Dirty-gated sync of parameter angles into factor storage.
-    fn sync_params(&mut self) {
-        let mut dirty = false;
-        for p in &mut self.angle_params {
-            // No short-circuit: every flag must be consumed.
-            dirty |= p.take_dirty();
-        }
-        if !dirty {
-            return;
-        }
-        for (f, p) in self.butterfly.factors.iter_mut().zip(&self.angle_params) {
-            f.angles.copy_from_slice(&p.value);
-        }
+        self.perm.len()
     }
 
     /// Materialises the effective dense weight.
-    pub fn effective_weight(&mut self) -> Matrix {
-        self.sync_params();
-        self.butterfly.materialize().submatrix(0, 0, self.out_dim, self.in_dim)
+    pub fn effective_weight(&self) -> Matrix {
+        let factors = self
+            .angle_params
+            .iter()
+            .enumerate()
+            .map(|(s, p)| OrthoFactor { block_size: 2 << s, angles: p.value.clone() })
+            .collect();
+        let butterfly = OrthoButterfly { n: self.perm.len(), factors, perm: self.perm.clone() };
+        butterfly.materialize().submatrix(0, 0, self.out_dim, self.in_dim)
     }
 }
 
 impl Layer for OrthoButterflyLayer {
     fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
         assert_eq!(input.cols(), self.in_dim, "OrthoButterflyLayer input dim mismatch");
-        self.sync_params();
+        let stages = angle_stages(self.angle_params.iter().map(|p| &p.value[..]));
         if train {
             let out = fused_forward_train(
                 input,
-                &self.butterfly.perm,
-                &self.butterfly.factors,
+                &self.perm,
+                &stages,
                 &self.bias.value,
                 &mut self.arena,
                 &mut self.scratch,
@@ -239,26 +253,14 @@ impl Layer for OrthoButterflyLayer {
             self.cached_rows = Some(input.rows());
             out
         } else {
-            fused_forward(
-                input,
-                &self.butterfly.perm,
-                &self.butterfly.factors,
-                &self.bias.value,
-                &mut self.scratch,
-            )
+            fused_forward(input, &self.perm, &stages, &self.bias.value, &mut self.scratch)
         }
     }
 
     fn forward_inference(&self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
         assert_eq!(input.cols(), self.in_dim, "OrthoButterflyLayer input dim mismatch");
-        let stages: Vec<AngleStage<'_>> = self
-            .butterfly
-            .factors
-            .iter()
-            .zip(&self.angle_params)
-            .map(|(f, p)| AngleStage { block_size: f.block_size, angles: &p.value })
-            .collect();
-        fused_forward(input, &self.butterfly.perm, &stages, &self.bias.value, scratch)
+        let stages = angle_stages(self.angle_params.iter().map(|p| &p.value[..]));
+        fused_forward(input, &self.perm, &stages, &self.bias.value, scratch)
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
@@ -276,15 +278,16 @@ impl Layer for OrthoButterflyLayer {
         }
         self.bias.accumulate_grad(&db);
 
-        let angle_params = &mut self.angle_params;
+        let (angles, mut grads): (Vec<_>, Vec<_>) =
+            self.angle_params.iter_mut().map(Param::value_and_grad).unzip();
         fused_backward(
             grad_output,
-            &self.butterfly.perm,
-            &self.butterfly.factors,
+            &self.perm,
+            &angle_stages(angles),
             &self.arena,
             self.in_dim,
             &mut self.scratch,
-            |s, flat| angle_params[s].accumulate_grad(flat),
+            |s, flat| grads[s].iter_mut().zip(flat).for_each(|(g, d)| *g += d),
         )
     }
 
@@ -305,9 +308,9 @@ impl Layer for OrthoButterflyLayer {
     fn trace(&self, batch: usize) -> Vec<LinOp> {
         // Same execution profile as the free-twiddle butterfly: one small
         // strided op per factor.
-        let n = self.butterfly.n();
+        let n = self.perm.len();
         let mut ops = vec![LinOp::Permute { rows: batch, width: n }];
-        for _ in 0..self.butterfly.stages() {
+        for _ in 0..self.angle_params.len() {
             ops.push(LinOp::Twiddle { pairs: n / 2, batch });
         }
         ops.push(LinOp::Elementwise { n: batch * self.out_dim, flops_per_elem: 1 });

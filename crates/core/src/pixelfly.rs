@@ -126,10 +126,11 @@ pub fn flat_butterfly_mask(grid: usize, butterfly_size: usize) -> Vec<(u32, u32)
 pub struct PixelflyLayer {
     dim: usize,
     config: PixelflyConfig,
-    sparse: BlockSparseMatrix,
     /// CSR-of-blocks view of the (static) sparsity pattern, built once at
     /// construction — the fused kernels' hot-path layout.
     csr: BlockCsr,
+    /// The block payloads, row-major per block in CSR order: the only copy,
+    /// read by the kernels alongside `csr`.
     sparse_param: Param,
     /// Low-rank factors; `u` is `dim x rank`, `v` is `rank x dim`.
     u: Param,
@@ -147,7 +148,7 @@ impl fmt::Debug for PixelflyLayer {
         f.debug_struct("PixelflyLayer")
             .field("dim", &self.dim)
             .field("config", &self.config)
-            .field("nnz_blocks", &self.sparse.nnz_blocks())
+            .field("nnz_blocks", &self.csr.nnz_blocks())
             .finish_non_exhaustive()
     }
 }
@@ -193,7 +194,6 @@ impl PixelflyLayer {
         Ok(Self {
             dim,
             config,
-            sparse,
             csr,
             sparse_param,
             u: Param::new("pixelfly.u", u),
@@ -212,27 +212,22 @@ impl PixelflyLayer {
 
     /// Number of stored blocks in the flat-block-butterfly term.
     pub fn nnz_blocks(&self) -> usize {
-        self.sparse.nnz_blocks()
+        self.csr.nnz_blocks()
     }
 
     /// Materialises the effective dense weight (block-sparse + low-rank).
-    pub fn effective_weight(&mut self) -> Matrix {
-        self.sync_sparse();
-        let mut w = self.sparse.to_dense();
+    pub fn effective_weight(&self) -> Matrix {
+        let PixelflyConfig { block_size, butterfly_size, .. } = self.config;
+        let mask = flat_butterfly_mask(self.dim / block_size, butterfly_size);
+        let mut sparse = BlockSparseMatrix::zeros(self.dim, self.dim, block_size, mask);
+        sparse.data_mut().copy_from_slice(&self.sparse_param.value);
+        let mut w = sparse.to_dense();
         if self.config.rank > 0 {
             let u = Matrix::from_vec(self.dim, self.config.rank, self.u.value.clone());
             let v = Matrix::from_vec(self.config.rank, self.dim, self.v.value.clone());
             w.axpy(1.0, &matmul(&u, &v));
         }
         w
-    }
-
-    /// Dirty-gated sync of the flat block parameter into the sparse matrix.
-    fn sync_sparse(&mut self) {
-        if !self.sparse_param.take_dirty() {
-            return;
-        }
-        self.sparse.data_mut().copy_from_slice(&self.sparse_param.value);
     }
 
     /// Borrowed low-rank factors for the fused kernels (`None` at rank 0).
@@ -245,13 +240,11 @@ impl PixelflyLayer {
     }
 
     /// The shared inference arithmetic: one fused block-sparse + low-rank +
-    /// bias pass. Reads `u` / `v` / `bias` straight from parameter storage
-    /// and assumes `sparse` is already in sync (true at construction and
-    /// after any `forward`).
+    /// bias pass, reading every weight straight from parameter storage.
     fn affine(&self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
         fused_block_forward(
             &self.csr,
-            self.sparse.data(),
+            &self.sparse_param.value,
             self.lowrank(),
             Some(&self.bias.value),
             input,
@@ -263,7 +256,6 @@ impl PixelflyLayer {
 impl Layer for PixelflyLayer {
     fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
         assert_eq!(input.cols(), self.dim, "PixelflyLayer input dim mismatch");
-        self.sync_sparse();
         let mut scratch = std::mem::take(&mut self.scratch);
         if !train {
             let y = self.affine(input, &mut scratch);
@@ -272,7 +264,7 @@ impl Layer for PixelflyLayer {
         }
         let (y, vx) = fused_block_forward_train(
             &self.csr,
-            self.sparse.data(),
+            &self.sparse_param.value,
             self.lowrank(),
             Some(&self.bias.value),
             input,
@@ -308,27 +300,22 @@ impl Layer for PixelflyLayer {
         // gradients accumulate straight into the parameters' gradient
         // buffers (borrowed apart from the values the kernel reads), plus
         // dX in one call.
-        for p in [&self.sparse_param, &self.u, &self.v] {
-            assert!(!p.is_frozen(), "backward into frozen (forward-only) parameter {}", p.name());
-        }
+        let (payload, gpayload) = self.sparse_param.value_and_grad();
+        let (u, gu) = self.u.value_and_grad();
+        let (v, gv) = self.v.value_and_grad();
         let rank = self.config.rank;
-        let lowrank = (rank > 0).then_some(LowRankRef { u: &self.u.value, v: &self.v.value, rank });
+        let lowrank = (rank > 0).then_some(LowRankRef { u, v, rank });
         let vx = self.cached_vx.take();
-        let grad_in = fused_block_backward(
+        fused_block_backward(
             &self.csr,
-            self.sparse.data(),
+            payload,
             lowrank,
             &input,
             vx.as_ref(),
             grad_output,
-            BlockGrads {
-                payload: &mut self.sparse_param.grad,
-                u: &mut self.u.grad,
-                v: &mut self.v.grad,
-            },
+            BlockGrads { payload: gpayload, u: gu, v: gv },
             &mut self.scratch,
-        );
-        grad_in
+        )
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -357,7 +344,7 @@ impl Layer for PixelflyLayer {
             k: self.dim,
             n: batch,
             block: self.config.block_size,
-            nnz_blocks: self.sparse.nnz_blocks(),
+            nnz_blocks: self.csr.nnz_blocks(),
         }];
         if self.config.rank > 0 {
             // Two dense matmuls for the low-rank term plus the residual add.
@@ -516,7 +503,7 @@ mod tests {
         );
         let dx_ref = fused_block_backward(
             &layer.csr,
-            layer.sparse.data(),
+            &layer.sparse_param.value,
             layer.lowrank(),
             &x,
             vx.as_ref(),

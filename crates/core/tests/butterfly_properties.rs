@@ -136,7 +136,7 @@ impl Case {
 
 fn check_butterfly(case: &Case) -> Result<(), String> {
     let b = Butterfly::random(case.n, &mut seeded_rng(case.model_seed));
-    let arena = case.check_forward(&b.perm, &b.factors, |x| b.forward_cached(x))?;
+    let arena = case.check_forward(&b.perm, &b.views(), |x| b.forward_cached(x))?;
     let mut dx = Matrix::zeros(case.g.rows(), case.in_dim);
     let mut gt: Vec<Vec<f32>> = b.factors.iter().map(|f| vec![0.0; f.twiddles.len()]).collect();
     for r in 0..case.g.rows() {
@@ -144,7 +144,7 @@ fn check_butterfly(case: &Case) -> Result<(), String> {
         let gx = b.backward_cached(&cache, &pad(case.g.row(r), case.n), &mut gt);
         dx.row_mut(r).copy_from_slice(&gx[..case.in_dim]);
     }
-    case.check_backward(&b.perm, &b.factors, &arena, (dx, gt))
+    case.check_backward(&b.perm, &b.views(), &arena, (dx, gt))
 }
 
 /// Per-row forward of the orthogonal butterfly, recording each stage input.
@@ -160,7 +160,7 @@ fn ortho_forward_cached(o: &OrthoButterfly, x: &[f32]) -> (Vec<f32>, Vec<Vec<f32
 
 fn check_ortho(case: &Case) -> Result<(), String> {
     let o = OrthoButterfly::random(case.n, &mut seeded_rng(case.model_seed));
-    let arena = case.check_forward(&o.perm, &o.factors, |x| ortho_forward_cached(&o, x))?;
+    let arena = case.check_forward(&o.perm, &o.views(), |x| ortho_forward_cached(&o, x))?;
     let mut dx = Matrix::zeros(case.g.rows(), case.in_dim);
     let mut ga: Vec<Vec<f32>> = o.factors.iter().map(|f| vec![0.0; f.angles.len()]).collect();
     for r in 0..case.g.rows() {
@@ -175,7 +175,7 @@ fn check_ortho(case: &Case) -> Result<(), String> {
             }
         }
     }
-    case.check_backward(&o.perm, &o.factors, &arena, (dx, ga))
+    case.check_backward(&o.perm, &o.views(), &arena, (dx, ga))
 }
 
 proptest! {

@@ -17,14 +17,6 @@ fn probe_loss(layer: &mut dyn Layer, x: &Matrix) -> f64 {
     layer.forward(x, false).as_slice().iter().map(|v| (*v as f64) * (*v as f64) / 2.0).sum()
 }
 
-/// Writes one parameter value and marks the parameter dirty so layers with
-/// derived factor storage re-sync on the next forward.
-fn set_value(layer: &mut dyn Layer, pi: usize, idx: usize, v: f32) {
-    let mut params = layer.params();
-    params[pi].value[idx] = v;
-    params[pi].mark_dirty();
-}
-
 /// Checks every parameter's analytic gradient against central finite
 /// differences at three probe indices per parameter (first, middle, last).
 ///
@@ -51,11 +43,11 @@ pub fn check_gradients(layer: &mut dyn Layer, x: &Matrix, eps: f32, tol: f32) {
         picks.dedup();
         for idx in picks {
             let orig = layer.params()[pi].value[idx];
-            set_value(layer, pi, idx, orig + eps);
+            layer.params()[pi].value[idx] = orig + eps;
             let lp = probe_loss(layer, x);
-            set_value(layer, pi, idx, orig - eps);
+            layer.params()[pi].value[idx] = orig - eps;
             let lm = probe_loss(layer, x);
-            set_value(layer, pi, idx, orig);
+            layer.params()[pi].value[idx] = orig;
             let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
             let got = grads[idx];
             assert!(

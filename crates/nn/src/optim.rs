@@ -42,7 +42,6 @@ impl Sgd {
                 *vel = v;
                 *w -= self.lr * v;
             }
-            p.mark_dirty();
         }
     }
 }
@@ -89,7 +88,6 @@ impl Adam {
                 let vhat = v[i] / b2t;
                 p.value[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
-            p.mark_dirty();
         }
     }
 }

@@ -16,57 +16,20 @@ pub struct Param {
     /// SGD momentum buffer (same length as `value`; empty when frozen).
     pub velocity: Vec<f32>,
     frozen: bool,
-    dirty: bool,
 }
 
 impl Param {
     /// Creates a parameter from initial values.
-    ///
-    /// New parameters start dirty so layers with derived storage (butterfly
-    /// twiddles, block-sparse data) sync on their first forward.
     pub fn new(name: impl Into<String>, value: Vec<f32>) -> Self {
         let n = value.len();
-        Self {
-            name: name.into(),
-            value,
-            grad: vec![0.0; n],
-            velocity: vec![0.0; n],
-            frozen: false,
-            dirty: true,
-        }
+        Self { name: name.into(), value, grad: vec![0.0; n], velocity: vec![0.0; n], frozen: false }
     }
 
     /// Creates a forward-only parameter: no gradient or momentum buffer is
     /// allocated, cutting the parameter's memory to a third. Calling
     /// [`Param::accumulate_grad`] on it panics.
     pub fn new_frozen(name: impl Into<String>, value: Vec<f32>) -> Self {
-        Self {
-            name: name.into(),
-            value,
-            grad: Vec::new(),
-            velocity: Vec::new(),
-            frozen: true,
-            dirty: true,
-        }
-    }
-
-    /// Flags the values as modified since the owning layer last synced its
-    /// derived storage. Optimizer steps call this; any code writing
-    /// [`Param::value`] directly must too, or the next forward may compute
-    /// with stale factors.
-    pub fn mark_dirty(&mut self) {
-        self.dirty = true;
-    }
-
-    /// Returns the dirty flag and clears it. Layers call this at the top of
-    /// `forward` to decide whether to re-copy values into derived storage.
-    pub fn take_dirty(&mut self) -> bool {
-        std::mem::replace(&mut self.dirty, false)
-    }
-
-    /// True when the values changed since the last [`Param::take_dirty`].
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
+        Self { name: name.into(), value, grad: Vec::new(), velocity: Vec::new(), frozen: true }
     }
 
     /// Releases the gradient and momentum buffers, converting the parameter
@@ -118,6 +81,16 @@ impl Param {
         for (g, d) in self.grad.iter_mut().zip(delta) {
             *g += d;
         }
+    }
+
+    /// Borrows the values and the gradient buffer apart, so a backward
+    /// kernel can read the one while it accumulates into the other.
+    ///
+    /// # Panics
+    /// Panics on a frozen parameter, as [`Param::accumulate_grad`] does.
+    pub fn value_and_grad(&mut self) -> (&[f32], &mut [f32]) {
+        assert!(!self.frozen, "backward into frozen (forward-only) parameter {}", self.name);
+        (&self.value, &mut self.grad)
     }
 
     /// L2 norm of the gradient (diagnostics).
@@ -180,17 +153,6 @@ mod tests {
         let mut p = Param::new("w", vec![0.0; 2]);
         p.freeze();
         p.accumulate_grad(&[1.0, 1.0]);
-    }
-
-    #[test]
-    fn dirty_flag_starts_set_and_take_clears_it() {
-        let mut p = Param::new("w", vec![1.0]);
-        assert!(p.is_dirty(), "fresh params must sync on first forward");
-        assert!(p.take_dirty());
-        assert!(!p.take_dirty(), "take must clear the flag");
-        p.mark_dirty();
-        assert!(p.is_dirty());
-        assert!(p.take_dirty());
     }
 
     #[test]

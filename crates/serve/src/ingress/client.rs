@@ -62,7 +62,8 @@ impl IngressClient {
     /// means the timeout passed or the server closed with no frame
     /// pending; a malformed frame surfaces as [`io::ErrorKind::InvalidData`].
     pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<ResponseFrame>> {
-        let deadline = Instant::now() + timeout;
+        // No representable instant (a `Duration::MAX` timeout) means no bound.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             match self.decoder.next_frame() {
                 Ok(Some(Frame::Response(response))) => return Ok(Some(response)),
@@ -78,11 +79,17 @@ impl IngressClient {
                     Err(e) => Err(bad_frame(e)),
                 };
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            match self.reader.read_segment_timeout(READ_CHUNK, deadline - now)? {
+            let wait = match deadline {
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Ok(None);
+                    }
+                    deadline - now
+                }
+                None => timeout,
+            };
+            match self.reader.read_segment_timeout(READ_CHUNK, wait)? {
                 ReadEvent::Data(segment) => self.decoder.push(segment),
                 ReadEvent::TimedOut => return Ok(None),
                 ReadEvent::Eof => self.eof = true,

@@ -222,7 +222,8 @@ impl QosQueue {
     /// [`QosQueue::stop`], keeps returning queued jobs until both queues
     /// drain, then reports [`Dequeued::Stopped`].
     pub fn dequeue(&self, timeout: Duration) -> Dequeued {
-        let deadline = Instant::now() + timeout;
+        // No representable instant (a `Duration::MAX` timeout) means no bound.
+        let deadline = Instant::now().checked_add(timeout);
         let mut state = self.state.lock();
         loop {
             let nonempty = [!state.queues[0].is_empty(), !state.queues[1].is_empty()];
@@ -233,11 +234,16 @@ impl QosQueue {
             if state.stopped {
                 return Dequeued::Stopped;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Dequeued::TimedOut;
+            match deadline {
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Dequeued::TimedOut;
+                    }
+                    self.cond.wait_for(&mut state, deadline - now);
+                }
+                None => self.cond.wait(&mut state),
             }
-            self.cond.wait_for(&mut state, deadline - now);
         }
     }
 
@@ -405,13 +411,16 @@ mod tests {
         let q = QosQueue::new(&QosConfig::default());
         let now = Instant::now();
         q.enqueue(job(QosClass::Interactive, "t", 0), now);
+        q.enqueue(job(QosClass::Batch, "t", 1), now);
         q.stop();
         assert!(matches!(
-            q.enqueue(job(QosClass::Interactive, "t", 1), now),
+            q.enqueue(job(QosClass::Interactive, "t", 2), now),
             EnqueueOutcome::Stopped
         ));
         assert!(matches!(q.dequeue(Duration::from_millis(10)), Dequeued::Job(_)));
-        assert!(matches!(q.dequeue(Duration::from_millis(10)), Dequeued::Stopped));
+        // A timeout past every representable instant means no bound.
+        assert!(matches!(q.dequeue(Duration::MAX), Dequeued::Job(_)));
+        assert!(matches!(q.dequeue(Duration::MAX), Dequeued::Stopped));
     }
 
     #[test]

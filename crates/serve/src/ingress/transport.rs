@@ -272,7 +272,8 @@ impl TcpIngressListener {
 
 impl IngressListener for TcpIngressListener {
     fn poll_accept(&mut self, timeout: Duration) -> io::Result<AcceptEvent> {
-        let deadline = Instant::now() + timeout;
+        // No representable instant (a `Duration::MAX` timeout) means no bound.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             match self.listener.accept() {
                 Ok((stream, addr)) => {
@@ -280,11 +281,15 @@ impl IngressListener for TcpIngressListener {
                     return Ok(AcceptEvent::Conn(tcp_split(stream, &addr.to_string())?));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Ok(AcceptEvent::TimedOut);
+                    let mut nap = Duration::from_millis(5);
+                    if let Some(deadline) = deadline {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            return Ok(AcceptEvent::TimedOut);
+                        }
+                        nap = nap.min(deadline - now);
                     }
-                    std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
+                    std::thread::sleep(nap);
                 }
                 Err(e) => return Err(e),
             }

@@ -1130,6 +1130,15 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_response_wait_returns_the_response() {
+        let server = Server::start(small_config(), &[Method::Butterfly]).expect("valid");
+        let handle = server.submit("butterfly", 0, 0, vec![0.4; 64]).expect("admitted");
+        let response = handle.wait_timeout(Duration::MAX).expect("answered");
+        assert_eq!(response.timing.source, ServedFrom::Compute);
+        server.shutdown();
+    }
+
+    #[test]
     fn multi_model_server_routes_by_name() {
         let server =
             Server::start(small_config(), &[Method::Baseline, Method::Butterfly]).expect("valid");

@@ -91,7 +91,6 @@ fn main() {
     let mut hidden = ButterflyLayer::new(dim, dim, &mut seeded_rng(46));
     for (param, factor) in hidden.params().into_iter().zip(&projection.butterfly.factors) {
         param.value.copy_from_slice(&factor.twiddles);
-        param.mark_dirty();
     }
     let mut compressed = Sequential::new()
         .push(Box::new(hidden))

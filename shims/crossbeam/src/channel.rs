@@ -230,9 +230,13 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Receive with a timeout.
+    /// Receive with a timeout. A timeout too long for an `Instant` (such as
+    /// `Duration::MAX`) waits without bound, as `recv` does.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        self.recv_deadline(Instant::now() + timeout)
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => self.recv_deadline(deadline),
+            None => self.recv().map_err(|RecvError| RecvTimeoutError::Disconnected),
+        }
     }
 
     /// Receive with an absolute deadline.
@@ -365,6 +369,11 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Err(RecvTimeoutError::Timeout));
         tx.send(9).expect("receiver alive");
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Ok(9));
+        // A timeout past every representable instant means no bound.
+        tx.send(3).expect("receiver alive");
+        assert_eq!(rx.recv_timeout(Duration::MAX), Ok(3));
+        drop(tx);
+        assert_eq!(rx.recv_timeout(Duration::MAX), Err(RecvTimeoutError::Disconnected));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! a shared frozen model must change nothing.
 
 use bfly_core::{build_shl, Method, PixelflyConfig};
-use bfly_nn::Layer;
+use bfly_nn::{Layer, Sgd};
 use bfly_tensor::{seeded_rng, Matrix, Scratch};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -72,7 +72,9 @@ proptest! {
 }
 
 /// All Table 4 methods (pixelfly included, at its conforming power-of-two
-/// dimension) agree between the training forward and fused inference.
+/// dimension) agree between the training forward and fused inference, and
+/// still agree after an optimizer step: inference reads the updated
+/// weights, not a copy taken before the step.
 #[test]
 fn fused_inference_matches_training_forward_pow2_all_methods() {
     let dim = 256;
@@ -86,6 +88,21 @@ fn fused_inference_matches_training_forward_pow2_all_methods() {
         let mut scratch = Scratch::new();
         let infer = model.forward_inference(&x, &mut scratch);
         assert_eq!(train.as_slice(), infer.as_slice(), "{} diverged", method.label());
+
+        model.zero_grad();
+        let _ = model.backward(&train);
+        Sgd::new(0.1, 0.9).step(&mut model.params());
+        // Inference first: a layer that refreshes a private copy of its
+        // weights in `forward` must not leave `forward_inference` stale.
+        let infer = model.forward_inference(&x, &mut scratch);
+        let eval = model.forward(&x, false);
+        assert_ne!(eval.as_slice(), train.as_slice(), "{}: the step moved nothing", method.label());
+        assert_eq!(
+            eval.as_slice(),
+            infer.as_slice(),
+            "{} diverged after an optimizer step",
+            method.label()
+        );
     }
 }
 
