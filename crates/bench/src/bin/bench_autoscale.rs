@@ -7,44 +7,46 @@
 //! half the *slower* method's capacity, spiking to a multiple of the
 //! *faster* method's — and the identical seeded arrival schedule is
 //! replayed against every run, so butterfly and the dense baseline face
-//! equal offered load. For each method the sweep runs the trace twice:
-//! once pinned at the initial pod size (autoscaling disabled) and once
-//! elastic (the controller may grow the pod to `max` replicas and drain it
-//! back). Scale-up is recovery of a cold replica: the grown standby pays
-//! the priced weight load before it can serve, so the run's
-//! *time-to-healthy* is read straight off the grown replica's
-//! `weight_load_us`. A butterfly replica becomes healthy after an
-//! O(n log n)-byte transfer where the dense baseline moves ~n²·4 bytes —
-//! the paper's compression argument restated one more time, now as
-//! *elasticity under a flash crowd*. Every run is also scored against a
-//! simulated-latency SLO set with equal headroom per method — `slo_mult`
-//! times that method's own clean p99 — so steady-state batches always fit
-//! and misses isolate the scale-up transient: the cold weight load a
-//! grown replica's first batch carries breaches dense's SLO but hides
-//! inside butterfly's headroom.
+//! equal offered load. For each method the trace runs in two modes: pinned
+//! at the initial pod size (autoscaling disabled) and elastic (the
+//! controller may grow the pod to `max` replicas and drain it back). The
+//! four (method, mode) pairs are the arms of one `bfly_bench::serving`
+//! experiment (rotated trials, median and quartiles of every metric).
+//!
+//! Scale-up is recovery of a cold replica: the grown standby pays the
+//! priced weight load before it can serve, so the run's *time-to-healthy*
+//! is read straight off the grown replica's `weight_load_us`. A butterfly
+//! replica becomes healthy after an O(n log n)-byte transfer where the
+//! dense baseline moves ~n²·4 bytes — the paper's compression argument
+//! restated one more time, now as *elasticity under a flash crowd*. It is
+//! priced, not measured, so it compares across methods whatever share of
+//! the trace each arm served. Elastic over fixed simulated throughput, a
+//! measured quantity, is a ratio only where both arms served every arrival.
+//! Every run is also scored against a simulated-latency SLO set with equal
+//! headroom per method — `slo_mult` times that method's own clean p99 — so
+//! steady-state batches always fit and misses isolate the scale-up
+//! transient: the cold weight load a grown replica's first batch carries
+//! breaches dense's SLO but hides inside butterfly's headroom.
 //!
 //! The calibration load runs 32 clients x 50 requests: enough concurrent
-//! clients to fill `max_batch`, so the clean p99 prices *full* batches like
-//! the ones the flash crowd forms.
+//! clients to fill a batch, so the clean p99 prices *full* batches like the
+//! ones the flash crowd forms.
 //!
 //! `--smoke` runs a tiny sweep for CI and skips the JSON write so
 //! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::{host_cores, smoke_run};
+use bfly_bench::serving::{self, ratio, rotate, summary, Ratio, Run, Spread, Trial};
+use bfly_bench::{format_table, host_cores, smoke_run};
 use bfly_core::Method;
 use bfly_data::TrafficTrace;
-use bfly_serve::{
-    Arrivals, AutoscaleConfig, AutoscaleReport, CacheConfig, LoadPlan, ReplicaStats, ScaleDecision,
-    ServeConfig, Server,
-};
+use bfly_serve::{Arrivals, AutoscaleConfig, CacheConfig, LoadPlan, ScaleDecision, ServeConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
+use serde_json::Value;
 use std::time::Duration;
 
-const CLASSES: usize = 10;
-const MAX_BATCH: usize = 32;
 /// Distinct inputs the load cycles through.
 const POOL: usize = 64;
 const QUEUE_CAPACITY: usize = 512;
@@ -57,79 +59,59 @@ const SPIKE: f64 = 3.0;
 /// Per-method SLO as a multiple of its clean sim p99.
 const SLO_MULT: f64 = 1.2;
 const TRACE_SEED: u64 = 17;
+const METHODS: [Method; 2] = [Method::Butterfly, Method::Baseline];
+const MODES: [&str; 2] = ["fixed", "elastic"];
 
 #[derive(Serialize)]
 struct Calibration {
     method: String,
-    /// Steady-state wall throughput of a single-replica pod, requests/s.
-    capacity_rps: f64,
-    /// Clean (fault-free, fully warm after the first batch) simulated
-    /// per-batch latency percentiles, µs.
-    sim_p50_us: f64,
-    sim_p99_us: f64,
+    /// Single-replica closed-loop run: its wall throughput is the method's
+    /// capacity, its clean sim p99 the base of the method's SLO.
+    run: Run,
 }
 
 #[derive(Serialize)]
-struct RunStats {
+struct ScaleRun {
+    run: Run,
+    /// Simulated µs the first replica the controller grew spent loading
+    /// weights before it could serve — the time-to-healthy. `None` when
+    /// nothing grew.
+    time_to_healthy_us: Option<f64>,
+}
+
+impl Trial for ScaleRun {
+    fn success_rate(&self) -> f64 {
+        self.run.success_rate()
+    }
+}
+
+#[derive(Serialize)]
+struct ArmResult {
     method: String,
     /// `fixed` (autoscaling disabled, pinned at the initial pod size) or
     /// `elastic` (the controller may grow to `max_replicas`).
     mode: String,
-    offered: u64,
-    completed: u64,
-    shed: u64,
-    /// Requests whose simulated batch latency breached the method's SLO.
-    sim_slo_misses: u64,
-    /// The simulated-latency SLO the run was scored against, µs
-    /// (`slo_mult` x this method's clean sim p99).
+    /// The simulated-latency SLO the arm was scored against, µs.
     slo_sim_us: f64,
-    /// Standbys the controller enrolled / drained over the run.
-    scale_ups: u64,
-    drains: u64,
-    /// Simulated µs a newly grown replica spent loading weights before it
-    /// could serve — the time-to-healthy. `None` when nothing grew.
-    time_to_healthy_us: Option<f64>,
-    /// Simulated pod makespan: the maximum replica occupancy clock, µs.
-    pod_makespan_us: f64,
-    /// Completed requests per simulated device second.
-    sim_throughput_rps: f64,
-    wall_throughput_rps: f64,
-    /// Cold weight loads paid across the pod, and their simulated cost.
-    cold_loads: u64,
-    weight_load_us: f64,
-    autoscale: AutoscaleReport,
-    replicas_detail: Vec<ReplicaStats>,
+    arm: Value,
 }
 
 #[derive(Serialize)]
 struct Headline {
-    /// Grown-replica time-to-healthy, µs (elastic runs).
+    /// Median grown-replica time-to-healthy over the elastic trials, µs.
     butterfly_time_to_healthy_us: Option<f64>,
     baseline_time_to_healthy_us: Option<f64>,
-    /// butterfly / baseline; the acceptance bar is <= 0.25.
+    /// Butterfly over baseline; the acceptance bar is <= 0.25.
     time_to_healthy_ratio: Option<f64>,
-    /// SLO misses at equal offered load (elastic runs).
-    butterfly_slo_misses: u64,
-    baseline_slo_misses: u64,
+    /// Elastic over fixed median simulated throughput, per method.
+    butterfly_elastic_over_fixed: Ratio,
+    baseline_elastic_over_fixed: Ratio,
 }
 
 #[derive(Serialize)]
 struct BenchOutput {
-    config: ConfigBlock,
-    calibration: Vec<Calibration>,
-    /// The shared trace both methods replay: rate segments after any
-    /// size-cap rescale, plus the arrival count actually offered.
-    trace: TraceBlock,
-    results: Vec<RunStats>,
-    headline: Headline,
-}
-
-#[derive(Serialize)]
-struct ConfigBlock {
     dim: usize,
-    classes: usize,
     workers: usize,
-    max_batch: usize,
     input_pool: usize,
     queue_capacity: usize,
     initial_replicas: usize,
@@ -139,6 +121,11 @@ struct ConfigBlock {
     trace_seed: u64,
     autoscale_interval_ms: u64,
     cooldown_windows: u32,
+    calibration: Vec<Calibration>,
+    /// The shared trace both methods replay, after any size-cap rescale.
+    trace: TraceBlock,
+    results: Vec<ArmResult>,
+    headline: Headline,
 }
 
 #[derive(Serialize)]
@@ -160,111 +147,57 @@ struct Workload {
     interval: Duration,
 }
 
-fn serve_config(w: &Workload, autoscale: AutoscaleConfig) -> ServeConfig {
-    ServeConfig {
+fn run_arm(w: &Workload, method: Method, elastic: bool, plan: &LoadPlan) -> ScaleRun {
+    let autoscale = if elastic {
+        AutoscaleConfig {
+            interval: w.interval,
+            cooldown_windows: COOLDOWN_WINDOWS,
+            ..AutoscaleConfig::bounded(INITIAL_REPLICAS, MAX_REPLICAS)
+        }
+    } else {
+        AutoscaleConfig::default()
+    };
+    let config = ServeConfig {
         dim: w.dim,
-        classes: CLASSES,
         seed: 0xB0D5,
-        max_batch: MAX_BATCH,
-        max_wait: Duration::from_micros(200),
         queue_capacity: QUEUE_CAPACITY,
         workers: w.workers,
-        tensor_cores: false,
         // Cache off: every request must compute, so backlog and simulated
         // latency reflect real work and the scale signals are honest.
         cache: CacheConfig::disabled(),
         replicas: INITIAL_REPLICAS,
         autoscale,
         ..Default::default()
-    }
-}
-
-fn elastic_config(w: &Workload) -> AutoscaleConfig {
-    AutoscaleConfig {
-        interval: w.interval,
-        cooldown_windows: COOLDOWN_WINDOWS,
-        ..AutoscaleConfig::bounded(INITIAL_REPLICAS, MAX_REPLICAS)
-    }
-}
-
-/// Measures one method's steady-state capacity on a single-replica pod.
-fn calibrate(w: &Workload, method: Method) -> Calibration {
-    let name = method.label().to_lowercase();
-    let server =
-        Server::start(serve_config(w, AutoscaleConfig::default()), &[method]).expect("dim fits");
-    let arrivals = Arrivals::Closed { clients: w.clients, per_client: w.per_client };
-    let models = vec![name.clone()];
-    let report =
-        LoadPlan { models, arrivals, seed: 0xBEE5, pool: POOL, slo_sim_us: None }.run(&server);
-    server.shutdown();
-    Calibration {
-        method: name,
-        capacity_rps: report.throughput_rps,
-        sim_p50_us: report.sim_p50_us,
-        sim_p99_us: report.sim_p99_us,
-    }
-}
-
-/// Time-to-healthy of the first replica the controller grew: its priced
-/// weight load, per cold load so a drain/regrow cycle does not double it.
-fn time_to_healthy_us(report: &AutoscaleReport, replicas: &[ReplicaStats]) -> Option<f64> {
-    report.events.iter().find(|e| e.decision == ScaleDecision::Grow).map(|e| {
-        let r = &replicas[e.replica];
+    };
+    let served = serving::serve(config, &[method], plan);
+    // The first grown replica's priced weight load, per cold load so a
+    // drain/regrow cycle does not double it.
+    let grown = served.autoscale.events.iter().find(|e| e.decision == ScaleDecision::Grow);
+    let time_to_healthy_us = grown.map(|e| {
+        let r = &served.snapshot.replicas[e.replica];
         if r.cold_loads > 0 {
             r.weight_load_us / r.cold_loads as f64
         } else {
             0.0 // warm pool pre-paid the load
         }
-    })
+    });
+    ScaleRun { run: served.run, time_to_healthy_us }
 }
 
-fn run_once(
-    w: &Workload,
-    method: Method,
-    mode: &str,
-    autoscale: AutoscaleConfig,
-    arrivals: &[f64],
-    slo_sim_us: f64,
-) -> RunStats {
-    let name = method.label().to_lowercase();
-    let server = Server::start(serve_config(w, autoscale), &[method]).expect("dim fits");
-    let plan = LoadPlan {
-        models: vec![name.clone()],
-        arrivals: Arrivals::Trace(arrivals.to_vec()),
-        seed: 0xBEE5,
-        pool: POOL,
-        slo_sim_us: Some(slo_sim_us),
-    };
-    let report = plan.run(&server);
-    let autoscale_report = server.autoscale_report();
-    let snapshot = server.shutdown();
-    let makespan_us = snapshot.pod_makespan_us;
-    let sim_throughput =
-        if makespan_us > 0.0 { report.completed as f64 / (makespan_us / 1e6) } else { 0.0 };
-    RunStats {
-        method: name,
-        mode: mode.to_string(),
-        offered: report.offered,
-        completed: report.completed,
-        shed: report.shed,
-        sim_slo_misses: report.sim_slo_misses,
-        slo_sim_us,
-        scale_ups: snapshot.replicas.iter().map(|r| r.scale_ups).sum(),
-        drains: snapshot.replicas.iter().map(|r| r.drains).sum(),
-        time_to_healthy_us: time_to_healthy_us(&autoscale_report, &snapshot.replicas),
-        pod_makespan_us: makespan_us,
-        sim_throughput_rps: sim_throughput,
-        wall_throughput_rps: report.throughput_rps,
-        cold_loads: snapshot.replicas.iter().map(|r| r.cold_loads).sum(),
-        weight_load_us: snapshot.replicas.iter().map(|r| r.weight_load_us).sum(),
-        autoscale: autoscale_report,
-        replicas_detail: snapshot.replicas,
-    }
+fn plan(method: Method, arrivals: Arrivals, slo_sim_us: Option<f64>) -> LoadPlan {
+    let models = vec![method.label().to_lowercase()];
+    LoadPlan { models, arrivals, seed: 0xBEE5, pool: POOL, slo_sim_us }
+}
+
+/// Median time-to-healthy over the trials in which the pod grew.
+fn time_to_healthy(arm: &[ScaleRun]) -> Option<f64> {
+    let grown: Vec<f64> = arm.iter().filter_map(|t| t.time_to_healthy_us).collect();
+    (!grown.is_empty()).then(|| Spread::of(grown).median)
 }
 
 fn main() {
     let smoke = smoke_run();
-    let workload = if smoke {
+    let w = if smoke {
         Workload {
             dim: 512,
             workers: 1,
@@ -283,12 +216,13 @@ fn main() {
     };
     // Trace size cap.
     let max_arrivals: usize = if smoke { 2_500 } else { 60_000 };
+    let trials = serving::trials(smoke);
 
     println!(
-        "bench_autoscale: dim {}, {} workers, batch {MAX_BATCH}, pod \
-         {INITIAL_REPLICAS}->{MAX_REPLICAS}, spike {SPIKE}x, host cores {}{}\n",
-        workload.dim,
-        workload.workers,
+        "bench_autoscale: dim {}, {} workers, pod {INITIAL_REPLICAS}->{MAX_REPLICAS}, spike \
+         {SPIKE}x, host cores {}, {trials} trial(s) per arm, median [q1, q3]{}\n",
+        w.dim,
+        w.workers,
         host_cores(),
         if smoke { " [smoke]" } else { "" }
     );
@@ -297,16 +231,30 @@ fn main() {
     // method anchors the quiet rate (both idle comfortably), the faster
     // one anchors the spike (both are overwhelmed during the flash and
     // must grow). Each method's clean p99 anchors its own SLO.
-    let methods = [Method::Butterfly, Method::Baseline];
-    let calibration: Vec<Calibration> = methods.iter().map(|&m| calibrate(&workload, m)).collect();
-    for c in &calibration {
-        println!(
-            "calibrated {:>10}: {:>8.0} rps steady, sim p50 {:.1} us, p99 {:.1} us",
-            c.method, c.capacity_rps, c.sim_p50_us, c.sim_p99_us
-        );
-    }
-    let slow_cap = calibration.iter().map(|c| c.capacity_rps).fold(f64::INFINITY, f64::min);
-    let fast_cap = calibration.iter().map(|c| c.capacity_rps).fold(0.0, f64::max);
+    let closed = Arrivals::Closed { clients: w.clients, per_client: w.per_client };
+    let calibration: Vec<Calibration> = METHODS
+        .iter()
+        .map(|&m| Calibration {
+            method: m.label().to_lowercase(),
+            run: run_arm(&w, m, false, &plan(m, closed.clone(), None)).run,
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = calibration
+        .iter()
+        .map(|c| {
+            vec![
+                c.method.clone(),
+                format!("{:.0}", c.run.wall.throughput_rps),
+                format!("{:.1}", c.run.sim.batch_p50_us),
+                format!("{:.1}", c.run.sim.batch_p99_us),
+            ]
+        })
+        .collect();
+    let headers = ["calibrated", "wall rps", "sim p50 us", "sim p99 us"];
+    println!("{}", format_table(&headers, &rows));
+    let capacities = calibration.iter().map(|c| c.run.wall.throughput_rps);
+    let slow_cap = capacities.clone().fold(f64::INFINITY, f64::min);
+    let fast_cap = capacities.fold(0.0, f64::max);
 
     // One shared flash-crowd trace: quiet at half the slow method's
     // capacity, spiking to `SPIKE` x the fast method's. Capped in size so
@@ -333,85 +281,91 @@ fn main() {
         arrivals.len(),
     );
 
-    println!(
-        "{:>10} {:>8} {:>8} {:>9} {:>7} {:>7} {:>7} {:>7} {:>12} {:>14}",
+    // Arm `2 * m + e` serves method `m` fixed (`e = 0`) or elastic.
+    let slos: Vec<f64> = calibration.iter().map(|c| c.run.sim.batch_p99_us * SLO_MULT).collect();
+    let plans: Vec<LoadPlan> = METHODS
+        .iter()
+        .zip(&slos)
+        .map(|(&m, &slo)| plan(m, Arrivals::Trace(arrivals.clone()), Some(slo)))
+        .collect();
+    let arms =
+        rotate(trials, 4, |arm| run_arm(&w, METHODS[arm / 2], arm % 2 == 1, &plans[arm / 2]));
+
+    let mut rows = Vec::new();
+    let mut results = Vec::new();
+    for (i, arm) in arms.iter().enumerate() {
+        let (method, mode) = (METHODS[i / 2], MODES[i % 2]);
+        let median = |metric: fn(&ScaleRun) -> f64| Spread::of(arm.iter().map(metric)).median;
+        rows.push(vec![
+            method.label().to_string(),
+            mode.to_string(),
+            format!("{:.1}%", 100.0 * median(|t| t.run.wall.success_rate)),
+            format!("{:.0}", median(|t| t.run.wall.shed as f64)),
+            format!("{:.0}", median(|t| t.run.sim.slo_misses as f64)),
+            format!("{:.0}", median(|t| t.run.sim.scale_ups as f64)),
+            format!("{:.0}", median(|t| t.run.sim.drains as f64)),
+            time_to_healthy(arm).map_or("-".to_string(), |v| format!("{v:.1}")),
+            Spread::of(arm.iter().map(|t| t.run.sim.throughput_rps)).to_string(),
+            Spread::of(arm.iter().map(|t| t.run.wall.throughput_rps)).to_string(),
+        ]);
+        results.push(ArmResult {
+            method: method.label().to_lowercase(),
+            mode: mode.to_string(),
+            slo_sim_us: slos[i / 2],
+            arm: summary(arm),
+        });
+    }
+    let headers = [
         "method",
         "mode",
-        "offered",
-        "completed",
+        "served",
         "shed",
         "misses",
         "grows",
         "drains",
         "healthy us",
-        "sim rps"
-    );
-    let mut results = Vec::new();
-    for (&method, calib) in methods.iter().zip(&calibration) {
-        let slo_sim_us = calib.sim_p99_us * SLO_MULT;
-        for (mode, autoscale) in
-            [("fixed", AutoscaleConfig::default()), ("elastic", elastic_config(&workload))]
-        {
-            let stats = run_once(&workload, method, mode, autoscale, &arrivals, slo_sim_us);
-            println!(
-                "{:>10} {:>8} {:>8} {:>9} {:>7} {:>7} {:>7} {:>7} {:>12} {:>14.0}",
-                stats.method,
-                stats.mode,
-                stats.offered,
-                stats.completed,
-                stats.shed,
-                stats.sim_slo_misses,
-                stats.scale_ups,
-                stats.drains,
-                stats.time_to_healthy_us.map_or("-".to_string(), |v| format!("{v:.1}")),
-                stats.sim_throughput_rps,
-            );
-            results.push(stats);
-        }
-    }
+        "sim rps",
+        "wall rps",
+    ];
+    println!("{}", format_table(&headers, &rows));
 
-    let elastic = |m: &str| results.iter().find(|r| r.method == m && r.mode == "elastic");
-    let bfly = elastic("butterfly").expect("butterfly elastic run");
-    let dense = elastic("baseline").expect("baseline elastic run");
+    let elastic_over_fixed =
+        |m: usize| ratio(&arms[2 * m + 1], &arms[2 * m], |t| t.run.sim.throughput_rps);
+    let (bfly, dense) = (time_to_healthy(&arms[1]), time_to_healthy(&arms[3]));
     let headline = Headline {
-        butterfly_time_to_healthy_us: bfly.time_to_healthy_us,
-        baseline_time_to_healthy_us: dense.time_to_healthy_us,
-        time_to_healthy_ratio: match (bfly.time_to_healthy_us, dense.time_to_healthy_us) {
+        butterfly_time_to_healthy_us: bfly,
+        baseline_time_to_healthy_us: dense,
+        time_to_healthy_ratio: match (bfly, dense) {
             (Some(b), Some(d)) if d > 0.0 => Some(b / d),
             _ => None,
         },
-        butterfly_slo_misses: bfly.sim_slo_misses,
-        baseline_slo_misses: dense.sim_slo_misses,
+        butterfly_elastic_over_fixed: elastic_over_fixed(0),
+        baseline_elastic_over_fixed: elastic_over_fixed(1),
     };
     match headline.time_to_healthy_ratio {
-        Some(ratio) => println!(
-            "\ntime-to-healthy: butterfly {:.1} us vs dense {:.1} us ({:.3}x); \
-             slo misses {} vs {}",
-            headline.butterfly_time_to_healthy_us.unwrap_or(0.0),
-            headline.baseline_time_to_healthy_us.unwrap_or(0.0),
-            ratio,
-            headline.butterfly_slo_misses,
-            headline.baseline_slo_misses,
+        Some(r) => println!(
+            "time-to-healthy: butterfly {:.1} us vs dense {:.1} us ({r:.3}x); \
+             elastic over fixed sim rps: butterfly {}, dense {}",
+            bfly.unwrap_or(0.0),
+            dense.unwrap_or(0.0),
+            headline.butterfly_elastic_over_fixed,
+            headline.baseline_elastic_over_fixed,
         ),
-        None => println!("\nno scale-up fired for at least one method (trace too gentle?)"),
+        None => println!("no scale-up fired for at least one method (trace too gentle?)"),
     }
 
     let output = BenchOutput {
-        config: ConfigBlock {
-            dim: workload.dim,
-            classes: CLASSES,
-            workers: workload.workers,
-            max_batch: MAX_BATCH,
-            input_pool: POOL,
-            queue_capacity: QUEUE_CAPACITY,
-            initial_replicas: INITIAL_REPLICAS,
-            max_replicas: MAX_REPLICAS,
-            spike_multiple: SPIKE,
-            slo_mult: SLO_MULT,
-            trace_seed: TRACE_SEED,
-            autoscale_interval_ms: workload.interval.as_millis() as u64,
-            cooldown_windows: COOLDOWN_WINDOWS,
-        },
+        dim: w.dim,
+        workers: w.workers,
+        input_pool: POOL,
+        queue_capacity: QUEUE_CAPACITY,
+        initial_replicas: INITIAL_REPLICAS,
+        max_replicas: MAX_REPLICAS,
+        spike_multiple: SPIKE,
+        slo_mult: SLO_MULT,
+        trace_seed: TRACE_SEED,
+        autoscale_interval_ms: w.interval.as_millis() as u64,
+        cooldown_windows: COOLDOWN_WINDOWS,
         calibration,
         trace: TraceBlock {
             duration_s: trace.duration_s(),

@@ -21,14 +21,15 @@
 //! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
+use bfly_bench::serving::{self, ratio, rotate, summary, Ratio, Run, Spread};
 use bfly_bench::{format_table, smoke_run};
 use bfly_core::{compress_model, Method, ModelCompressConfig};
 use bfly_data::{generate, split, Split, SynthSpec};
-use bfly_nn::{build_dense_mlp, evaluate, fit, Sequential, TrainConfig};
-use bfly_serve::{Arrivals, CacheConfig, LoadPlan, PrebuiltModel, ServeConfig, Server};
+use bfly_nn::{build_dense_mlp, evaluate, fit, Layer, Sequential, TrainConfig};
+use bfly_serve::{Arrivals, CacheConfig, LoadPlan, PrebuiltModel, ServeConfig};
 use bfly_tensor::seeded_rng;
 use serde::Serialize;
-use std::time::Duration;
+use serde_json::Value;
 
 const CLASSES: usize = 10;
 /// Fine-tuning learning rate of the compressed stack.
@@ -59,16 +60,17 @@ struct FrontierPoint {
 }
 
 #[derive(Serialize)]
-struct ServeStats {
-    model: String,
-    weight_bytes: u64,
-    completed: u64,
-    wall_throughput_rps: f64,
-    sim_throughput_rps: f64,
-    pod_makespan_us: f64,
-    latency_p50_us: u64,
-    latency_p99_us: u64,
-    mean_batch: f64,
+struct ServeResult {
+    clients: u64,
+    per_client: u64,
+    replicas: usize,
+    /// Resident weight bytes: 4 per parameter of the served stack.
+    dense_weight_bytes: usize,
+    compressed_weight_bytes: usize,
+    dense: Value,
+    compressed: Value,
+    /// Compressed over dense median wall throughput.
+    wall_throughput_ratio: Ratio,
 }
 
 #[derive(Serialize)]
@@ -80,11 +82,8 @@ struct BenchOutput {
     finetune_epochs: usize,
     finetune_lr: f64,
     algo: String,
-    serve_clients: u64,
-    serve_per_client: u64,
-    serve_replicas: usize,
     frontier: Vec<FrontierPoint>,
-    serve: Vec<ServeStats>,
+    serve: ServeResult,
 }
 
 struct Task {
@@ -154,51 +153,39 @@ fn frontier_point(
     (point, dense, compressed)
 }
 
+/// `n` stacks laid out as `shape` builds them, each holding `trained`'s
+/// weights: one per serving trial, since a server takes its stack by value.
+fn copies(trained: &mut Sequential, n: usize, shape: impl Fn() -> Sequential) -> Vec<Sequential> {
+    let weights: Vec<Vec<f32>> = trained.params().into_iter().map(|p| p.value.clone()).collect();
+    (0..n)
+        .map(|_| {
+            let mut copy = shape();
+            let params = copy.params();
+            assert_eq!(params.len(), weights.len(), "a copy has the trained stack's layout");
+            for (param, w) in params.into_iter().zip(&weights) {
+                param.value.clone_from(w);
+            }
+            copy
+        })
+        .collect()
+}
+
 /// Offers the same seeded closed-loop workload to one prebuilt model on a
 /// fresh single-model server.
-fn serve_once(
-    task: &Task,
-    name: &str,
-    method: Method,
-    stack: Sequential,
-    clients: u64,
-    per_client: u64,
-) -> ServeStats {
+fn serve_arm(dim: usize, arrivals: &Arrivals, model: PrebuiltModel) -> Run {
     let config = ServeConfig {
-        dim: task.dim,
-        classes: CLASSES,
+        dim,
         seed: 63,
-        max_batch: 32,
-        max_wait: Duration::from_micros(200),
-        queue_capacity: (clients as usize * 4).max(256),
         workers: 2,
         // Cache off: every request computes, so throughput is honest.
         cache: CacheConfig::disabled(),
         replicas: REPLICAS,
         ..Default::default()
     };
-    let server =
-        Server::start(config, [PrebuiltModel::new(name, method, stack)]).expect("prebuilt fleet");
-    let arrivals = Arrivals::Closed { clients, per_client };
-    let models = vec![name.to_string()];
-    let load = LoadPlan { models, arrivals, seed: 64, pool: 64, slo_sim_us: None }.run(&server);
-    let snapshot = server.shutdown();
-    let makespan = snapshot.pod_makespan_us;
-    ServeStats {
-        model: name.to_string(),
-        weight_bytes: snapshot.models.iter().map(|m| m.weight_bytes).sum(),
-        completed: load.completed,
-        wall_throughput_rps: load.throughput_rps,
-        sim_throughput_rps: if makespan > 0.0 {
-            load.completed as f64 / (makespan / 1e6)
-        } else {
-            0.0
-        },
-        pod_makespan_us: makespan,
-        latency_p50_us: load.latency_p50_us,
-        latency_p99_us: load.latency_p99_us,
-        mean_batch: load.mean_batch,
-    }
+    let models = vec![model.name.clone()];
+    let plan =
+        LoadPlan { models, arrivals: arrivals.clone(), seed: 64, pool: 64, slo_sim_us: None };
+    serving::serve(config, [model], &plan).run
 }
 
 fn main() {
@@ -209,6 +196,7 @@ fn main() {
     let ft_epochs: usize = if smoke { 5 } else { 30 };
     let clients: u64 = if smoke { 4 } else { 16 };
     let per_client: u64 = if smoke { 25 } else { 250 };
+    let trials = serving::trials(smoke);
 
     let spec = SynthSpec {
         dim,
@@ -230,7 +218,7 @@ fn main() {
         if smoke { vec![(1, 1.0), (1, 0.5)] } else { vec![(1, 1.0), (2, 1.0), (2, 0.5)] };
     let serve_depth = if smoke { 1 } else { 2 };
     let mut frontier = Vec::new();
-    let mut serve_stacks: Option<(Sequential, Sequential)> = None;
+    let mut serve_stacks = None;
     for (depth, budget) in depth_points {
         println!("frontier: {depth} hidden layer(s), error budget {budget} ...");
         let (point, dense, compressed) = frontier_point(&task, depth, budget);
@@ -243,7 +231,8 @@ fn main() {
             if point.meets_bar { "  [meets >=4x @ <=2pt bar]" } else { "" }
         );
         if depth == serve_depth && budget == 1.0 {
-            serve_stacks = Some((dense, compressed));
+            let bytes = [4 * point.dense_params, 4 * point.compressed_params];
+            serve_stacks = Some((dense, compressed, bytes));
         }
         frontier.push(point);
     }
@@ -279,43 +268,63 @@ fn main() {
 
     // Serve: identical offered load at the dense stack and its compressed
     // twin, separate but identically configured servers.
-    let (dense, compressed) = serve_stacks.expect("serve depth is always in the sweep");
+    let (mut dense, mut compressed, weight_bytes) =
+        serve_stacks.expect("serve depth is always in the sweep");
     println!("serving dense vs compressed at equal offered load ({clients}x{per_client})...");
-    let serve = vec![
-        serve_once(&task, "mlp-dense", Method::Baseline, dense, clients, per_client),
-        serve_once(&task, "mlp-butterfly", Method::Butterfly, compressed, clients, per_client),
+    let budget = ModelCompressConfig { max_operator_error: 1.0, ..Default::default() };
+    let mut stacks = [
+        copies(&mut dense, trials, || {
+            build_dense_mlp(dim, &vec![dim; serve_depth], CLASSES, &mut seeded_rng(0))
+        }),
+        copies(&mut compressed, trials, || {
+            compress_model(&dense, &budget, &mut seeded_rng(0)).expect("dense MLP").model
+        }),
     ];
-    let srows: Vec<Vec<String>> = serve
+    let arrivals = Arrivals::Closed { clients, per_client };
+    let arms = rotate(trials, 2, |arm| {
+        let stack = stacks[arm].pop().expect("one stack per trial");
+        let (name, method) =
+            [("mlp-dense", Method::Baseline), ("mlp-butterfly", Method::Butterfly)][arm];
+        serve_arm(dim, &arrivals, PrebuiltModel::new(name, method, stack))
+    });
+    let (dense, compressed) = (&arms[0], &arms[1]);
+    let wall_throughput_ratio = ratio(compressed, dense, |r| r.wall.throughput_rps);
+    let srows: Vec<Vec<String>> = ["mlp-dense", "mlp-butterfly"]
         .iter()
-        .map(|s| {
+        .zip(&arms)
+        .zip(weight_bytes)
+        .map(|((name, arm), bytes)| {
+            let spread = |metric: fn(&Run) -> f64| Spread::of(arm.iter().map(metric));
             vec![
-                s.model.clone(),
-                format!("{}", s.weight_bytes / 1024),
-                s.completed.to_string(),
-                format!("{:.0}", s.wall_throughput_rps),
-                format!("{:.0}", s.sim_throughput_rps),
-                s.latency_p50_us.to_string(),
-                s.latency_p99_us.to_string(),
+                name.to_string(),
+                format!("{}", bytes / 1024),
+                spread(|r| r.wall.throughput_rps).to_string(),
+                spread(|r| r.sim.throughput_rps).to_string(),
+                spread(|r| r.wall.latency_p50_us as f64).to_string(),
+                spread(|r| r.wall.latency_p99_us as f64).to_string(),
             ]
         })
         .collect();
     println!();
     println!(
         "{}",
-        format_table(
-            &["model", "KiB", "completed", "wall-rps", "sim-rps", "p50us", "p99us"],
-            &srows
-        )
+        format_table(&["model", "KiB", "wall rps", "sim rps", "p50 us", "p99 us"], &srows)
     );
-    if let [d, b] = serve.as_slice() {
-        if d.wall_throughput_rps > 0.0 {
-            println!(
-                "compressed serves {:.2}x the dense throughput at {:.1}x fewer resident bytes",
-                b.wall_throughput_rps / d.wall_throughput_rps,
-                d.weight_bytes as f64 / b.weight_bytes.max(1) as f64
-            );
-        }
-    }
+    println!(
+        "compressed serves {wall_throughput_ratio} the dense wall throughput at \
+         {:.1}x fewer resident bytes",
+        weight_bytes[0] as f64 / weight_bytes[1] as f64
+    );
+    let serve = ServeResult {
+        clients,
+        per_client,
+        replicas: REPLICAS,
+        dense_weight_bytes: weight_bytes[0],
+        compressed_weight_bytes: weight_bytes[1],
+        dense: summary(dense),
+        compressed: summary(compressed),
+        wall_throughput_ratio,
+    };
 
     let output = BenchOutput {
         dim,
@@ -325,9 +334,6 @@ fn main() {
         finetune_epochs: ft_epochs,
         finetune_lr: FT_LR,
         algo: "hierarchical".to_string(),
-        serve_clients: clients,
-        serve_per_client: per_client,
-        serve_replicas: REPLICAS,
         frontier,
         serve,
     };

@@ -3,38 +3,48 @@
 //!
 //! Three arms:
 //!
-//! 1. **Submit path**: offers the identical seeded workload twice against a
-//!    shedding server (cache off, shallow queue, so the measured cost is
-//!    the submit path itself, not compute) — once cloning an owned
-//!    `Vec<f32>` per submission (the pre-payload behaviour: one clone in
-//!    the caller plus one `Vec -> Arc` conversion at admission), once
-//!    bumping the refcount of a shared `Payload`. Equal offered load;
-//!    the speedup is allocation+memcpy eliminated per request.
+//! 1. **Submit path**: offers the identical seeded submissions twice —
+//!    once cloning an owned `Vec<f32>` per submission (the pre-payload
+//!    behaviour: one clone in the caller plus one `Vec -> Arc` conversion
+//!    at admission), once bumping the refcount of a shared `Payload`. The
+//!    admission queue holds every submission (cache off), so both arms
+//!    serve all of them and the speedup compares the offering loop's rate
+//!    at equal acceptance: allocation and memcpy eliminated per request.
 //! 2. **Wire decode**: encodes a frame stream once, then decodes it in
 //!    transport-sized chunks two ways — payload *views* into the read
 //!    segments (the zero-copy codec) vs. materializing an owned vector per
-//!    request (what a copying codec would do). Also reports how many
-//!    payloads straddled a segment boundary and genuinely had to be copied.
+//!    request (what a copying codec would do), timed as interleaved
+//!    samples by `bfly_bench::measure`. Also reports how many payloads
+//!    straddled a segment boundary and genuinely had to be copied.
 //! 3. **QoS isolation**: a closed-loop interactive client runs over the
-//!    in-memory ingress twice — alone, and against a 10:1 batch-frame
-//!    flood from rate-limited batch connections. Weighted-fair scheduling
-//!    plus the batch tenant's token bucket must keep the flooded
-//!    interactive p99 within 2x of the uncontended p99, with every batch
-//!    refusal answered (counted, never dropped).
+//!    in-memory ingress alone and against a 10:1 batch-frame flood from
+//!    rate-limited batch connections. Weighted-fair scheduling plus the
+//!    batch tenant's token bucket must keep the flooded interactive p99
+//!    within 2x of the uncontended p99, with every batch refusal answered
+//!    (counted, never dropped).
+//!
+//! The submit and QoS arms repeat through `bfly_bench::serving` (rotated
+//! trials, median and quartiles of every metric).
 //!
 //! `--smoke` runs a tiny version for CI and skips the JSON write so
 //! checked-in numbers always come from a full run.
 
 use bfly_bench::json::write_bench_json;
-use bfly_bench::smoke_run;
+use bfly_bench::serving::{self, ratio, rotate, summary, Ratio, Spread, Trial};
+use bfly_bench::{format_table, measure, smoke_run, stats};
 use bfly_core::Method;
-use bfly_serve::ingress::transport::pipe_listener;
+use bfly_serve::ingress::transport::{pipe_listener, PipeConnector};
 use bfly_serve::ingress::{
     encode_request, Frame, FrameDecoder, IngressClient, IngressServer, QosClass, RequestFrame,
     WireStatus,
 };
-use bfly_serve::{CacheConfig, IngressConfig, Payload, QosConfig, RateLimit, ServeConfig, Server};
+use bfly_serve::{
+    CacheConfig, IngressConfig, Payload, QosConfig, RateLimit, ServeConfig, Server,
+    TenantIngressStats,
+};
 use serde::Serialize;
+use serde_json::Value;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,205 +56,197 @@ const WORKERS: usize = 2;
 /// Distinct inputs the submit arm cycles through.
 const POOL: usize = 64;
 
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+#[derive(Serialize)]
+struct SubmitRun {
+    /// Submissions per second of the offering loop.
+    submits_per_s: f64,
+    /// Submissions offered.
+    intended: u64,
+    /// Submissions admitted and answered successfully.
+    succeeded: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Arm 1: submit path
-// ---------------------------------------------------------------------------
+impl Trial for SubmitRun {
+    fn success_rate(&self) -> f64 {
+        self.succeeded as f64 / self.intended as f64
+    }
+}
 
 #[derive(Serialize)]
 struct SubmitArm {
-    requests: u64,
     pool_size: usize,
-    /// Offered submissions per second with an owned `Vec<f32>` cloned per
-    /// request (pre-payload behaviour).
-    owned_submits_per_s: f64,
-    /// Offered submissions per second with a shared `Payload` refcount
-    /// bump per request.
-    shared_submits_per_s: f64,
-    /// shared over owned at equal offered load — the acceptance bar is
+    /// An owned `Vec<f32>` cloned per request (pre-payload behaviour).
+    owned: Value,
+    /// A shared `Payload` refcount bump per request.
+    shared: Value,
+    /// Shared over owned median submission rate; the acceptance bar is
     /// >= 1.5x.
-    speedup: f64,
-    owned_accepted: u64,
-    shared_accepted: u64,
+    speedup: Ratio,
 }
 
-fn submit_server() -> Server {
+/// A request frame for the butterfly model.
+fn frame(class: QosClass, tenant: &str, client: u64, seq: u64, payload: Payload) -> RequestFrame {
+    let (model, tenant) = ("butterfly".to_string(), tenant.to_string());
+    RequestFrame { class, model, tenant, client, seq, deadline_us: 0, payload }
+}
+
+/// Offers `requests` submissions cycling through `pool` and times the
+/// offering loop; then waits for every answer.
+fn submit_run<P: Clone + Into<Payload>>(requests: u64, pool: &[P]) -> SubmitRun {
     let config = ServeConfig {
         dim: DIM,
-        classes: 10,
         seed: 0x1285,
-        max_batch: 32,
         max_wait: Duration::from_micros(100),
-        // Shallow on purpose: the flood mostly sheds, so the loop measures
-        // the submit path (locate, validate, enqueue-or-shed) plus input
-        // preparation — exactly where the copies used to live.
-        queue_capacity: 64,
+        // Deep enough for every submission, so both arms serve all of them.
+        queue_capacity: requests as usize,
         workers: WORKERS,
-        tensor_cores: false,
         cache: CacheConfig::disabled(),
         ..Default::default()
     };
-    Server::start(config, &[Method::Butterfly]).expect("dim must fit butterfly")
+    let server = Server::start(config, &[Method::Butterfly]).expect("dim must fit butterfly");
+    let mut handles = Vec::with_capacity(requests as usize);
+    let start = Instant::now();
+    for i in 0..requests {
+        if let Ok(handle) = server.submit("butterfly", 0, i, pool[i as usize % POOL].clone()) {
+            handles.push(handle);
+        }
+    }
+    let submits_per_s = requests as f64 / start.elapsed().as_secs_f64();
+    let succeeded = handles
+        .into_iter()
+        .filter_map(|h| h.wait())
+        .filter(|r| !r.timing.source.is_failure())
+        .count() as u64;
+    server.shutdown();
+    SubmitRun { submits_per_s, intended: requests, succeeded }
 }
 
-fn submit_arm(requests: u64) -> SubmitArm {
+/// The arm's record and its table row.
+fn submit_arm(requests: u64, trials: usize) -> (SubmitArm, Vec<String>) {
     use rand::{Rng, SeedableRng};
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF00D);
     let owned_pool: Vec<Vec<f32>> =
         (0..POOL).map(|_| (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
     let shared_pool: Vec<Payload> = owned_pool.iter().map(|v| Payload::from(v.clone())).collect();
-
-    let run = |shared: bool| -> (f64, u64) {
-        let server = submit_server();
-        let mut accepted = 0u64;
-        let start = Instant::now();
-        for i in 0..requests {
-            let slot = (i as usize) % POOL;
-            let outcome = if shared {
-                server.submit("butterfly", 0, i, shared_pool[slot].clone())
-            } else {
-                server.submit("butterfly", 0, i, owned_pool[slot].clone())
-            };
-            if let Ok(handle) = outcome {
-                accepted += 1;
-                drop(handle); // shutdown drains; the offer rate is the metric
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        server.shutdown();
-        (requests as f64 / elapsed, accepted)
-    };
-
-    let (owned_submits_per_s, owned_accepted) = run(false);
-    let (shared_submits_per_s, shared_accepted) = run(true);
-    SubmitArm {
-        requests,
-        pool_size: POOL,
-        owned_submits_per_s,
-        shared_submits_per_s,
-        speedup: shared_submits_per_s / owned_submits_per_s,
-        owned_accepted,
-        shared_accepted,
-    }
+    let arms = rotate(trials, 2, |arm| match arm {
+        0 => submit_run(requests, &owned_pool),
+        _ => submit_run(requests, &shared_pool),
+    });
+    let rate = |arm: &[SubmitRun]| Spread::of(arm.iter().map(|t| t.submits_per_s));
+    let speedup = ratio(&arms[1], &arms[0], |t| t.submits_per_s);
+    let row = vec![
+        "submits/s".to_string(),
+        format!("owned {}", rate(&arms[0])),
+        format!("shared {}", rate(&arms[1])),
+        speedup.to_string(),
+    ];
+    let record =
+        SubmitArm { pool_size: POOL, owned: summary(&arms[0]), shared: summary(&arms[1]), speedup };
+    (record, row)
 }
-
-// ---------------------------------------------------------------------------
-// Arm 2: wire decode
-// ---------------------------------------------------------------------------
 
 #[derive(Serialize)]
 struct WireArm {
     frames: u64,
     stream_bytes: u64,
     chunk_bytes: usize,
-    /// Decoded frames per second with payloads left as views into the read
-    /// segments.
-    view_frames_per_s: f64,
-    /// Decoded frames per second with every payload materialized into an
-    /// owned vector (a copying codec's obligatory extra work).
-    copyout_frames_per_s: f64,
-    view_over_copyout: f64,
-    view_gib_per_s: f64,
+    /// Time to decode the whole stream: materializing every payload into
+    /// an owned vector (baseline) against leaving payloads as views into
+    /// the read segments (candidate).
+    decode: measure::Arm,
     /// Payloads that straddled a chunk boundary and had to be copied.
     payload_copies: u64,
     zero_copy_frac: f64,
 }
 
-fn wire_arm(frames: u64, chunk_bytes: usize) -> WireArm {
+fn wire_arm(frames: u64, chunk_bytes: usize, samples: usize) -> WireArm {
     let mut stream = Vec::new();
     for s in 0..frames {
         let payload: Vec<f32> = (0..DIM).map(|i| ((s as usize * DIM + i) as f32).sin()).collect();
-        stream.extend_from_slice(&encode_request(&RequestFrame {
-            class: QosClass::Interactive,
-            model: "butterfly".to_string(),
-            tenant: "bench".to_string(),
-            client: 0,
-            seq: s,
-            deadline_us: 0,
-            payload: payload.into(),
-        }));
+        stream.extend_from_slice(&encode_request(&frame(
+            QosClass::Interactive,
+            "bench",
+            0,
+            s,
+            payload.into(),
+        )));
     }
-    let stream_bytes = stream.len() as u64;
 
-    let run = |copy_out: bool| -> (f64, u64) {
+    let payload_copies = Cell::new(0);
+    let decode = |copy_out: bool| {
         let mut decoder = FrameDecoder::new(1 << 24);
         let mut decoded = 0u64;
         let mut sink = 0u64; // keeps payload reads observable
-        let start = Instant::now();
         for part in stream.chunks(chunk_bytes) {
             decoder.push(Arc::from(part));
             while let Some(frame) = decoder.next_frame().expect("well-formed stream") {
                 let Frame::Request(request) = frame else { unreachable!("request stream") };
                 decoded += 1;
-                if copy_out {
-                    let owned = request.payload.to_vec();
-                    sink ^= owned[0].to_bits() as u64;
+                sink ^= if copy_out {
+                    request.payload.to_vec()[0].to_bits() as u64
                 } else {
-                    sink ^= request.payload.get(0).to_bits() as u64;
-                }
+                    request.payload.get(0).to_bits() as u64
+                };
             }
         }
-        let elapsed = start.elapsed().as_secs_f64();
         assert_eq!(decoded, frames);
         assert_ne!(sink, u64::MAX); // defeats dead-code elimination
-        (frames as f64 / elapsed, decoder.payload_copies())
+        payload_copies.set(decoder.payload_copies());
     };
-
-    let (copyout_frames_per_s, _) = run(true);
-    let (view_frames_per_s, payload_copies) = run(false);
+    let decode = measure::Arm::time(samples, || decode(true), || decode(false));
     WireArm {
         frames,
-        stream_bytes,
+        stream_bytes: stream.len() as u64,
         chunk_bytes,
-        view_frames_per_s,
-        copyout_frames_per_s,
-        view_over_copyout: view_frames_per_s / copyout_frames_per_s,
-        view_gib_per_s: stream_bytes as f64 * view_frames_per_s
-            / frames as f64
-            / (1u64 << 30) as f64,
-        payload_copies,
-        zero_copy_frac: 1.0 - payload_copies as f64 / frames as f64,
+        decode,
+        payload_copies: payload_copies.get(),
+        zero_copy_frac: 1.0 - payload_copies.get() as f64 / frames as f64,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Arm 3: QoS isolation
-// ---------------------------------------------------------------------------
-
-#[derive(Serialize)]
-struct QosArm {
-    interactive_requests: u64,
-    batch_flood_frames: u64,
-    uncontended_p50_us: u64,
-    uncontended_p99_us: u64,
-    flooded_p50_us: u64,
-    flooded_p99_us: u64,
-    /// flooded p99 over uncontended p99 — the acceptance bar is <= 2x.
-    p99_ratio: f64,
-    batch_admitted: u64,
-    batch_throttled: u64,
-    batch_deferred: u64,
 }
 
 const QOS_DIM: usize = 1024;
 
-fn qos_server() -> (Arc<Server>, IngressServer, bfly_serve::ingress::transport::PipeConnector) {
+#[derive(Serialize)]
+struct QosRun {
+    /// Interactive requests per second, think time included.
+    interactive_rps: f64,
+    /// Interactive latency quantiles, µs, think time excluded.
+    p50_us: f64,
+    p99_us: f64,
+    /// Batch frames the flood offered (0 when the interactive client ran
+    /// alone).
+    flood_frames: u64,
+    /// The flood tenant's admitted, throttled and deferred frames.
+    flood: Option<TenantIngressStats>,
+}
+
+impl Trial for QosRun {
+    /// Every interactive request is answered with a computed result, or
+    /// the run panics.
+    fn success_rate(&self) -> f64 {
+        1.0
+    }
+}
+
+#[derive(Serialize)]
+struct QosArm {
+    interactive_requests: u64,
+    /// Flood offer rate: ten times a calibration run's interactive rate.
+    flood_rate_rps: f64,
+    alone: Value,
+    flooded: Value,
+    /// Flooded over alone median p99 — the acceptance bar is <= 2x.
+    p99_ratio: Ratio,
+}
+
+fn qos_server() -> (Arc<Server>, IngressServer, PipeConnector) {
     let config = ServeConfig {
         dim: QOS_DIM,
-        classes: 10,
         seed: 0x0905,
         max_batch: 8,
         max_wait: Duration::from_micros(100),
         queue_capacity: 128,
         workers: WORKERS,
-        tensor_cores: false,
         cache: CacheConfig::disabled(),
         ingress: IngressConfig {
             qos: QosConfig {
@@ -272,61 +274,15 @@ fn qos_server() -> (Arc<Server>, IngressServer, bfly_serve::ingress::transport::
 /// measured latency; it also sets the rate the 10:1 flood is scaled from.
 const THINK: Duration = Duration::from_millis(2);
 
-fn interactive_latencies(
-    connector: &bfly_serve::ingress::transport::PipeConnector,
-    n: u64,
-) -> (Vec<u64>, Duration) {
-    let mut client = IngressClient::connect(connector, "interactive").expect("listener up");
-    let mut latencies = Vec::with_capacity(n as usize);
-    let run_start = Instant::now();
-    for s in 0..n {
-        if s > 0 {
-            std::thread::sleep(THINK);
-        }
-        let payload: Vec<f32> =
-            (0..QOS_DIM).map(|i| ((s as usize * QOS_DIM + i) as f32).sin()).collect();
-        let start = Instant::now();
-        client
-            .send(&RequestFrame {
-                class: QosClass::Interactive,
-                model: "butterfly".to_string(),
-                tenant: "user".to_string(),
-                client: 1,
-                seq: s,
-                deadline_us: 0,
-                payload: payload.into(),
-            })
-            .expect("connection up");
-        let response =
-            client.recv_timeout(Duration::from_secs(30)).expect("clean stream").expect("answered");
-        assert_eq!(response.seq, s);
-        assert_eq!(response.status, WireStatus::Compute);
-        latencies.push(start.elapsed().as_micros() as u64);
-    }
-    let elapsed = run_start.elapsed();
-    latencies.sort_unstable();
-    (latencies, elapsed)
-}
-
-fn qos_arm(interactive_requests: u64) -> QosArm {
-    // Uncontended baseline — also calibrates the interactive request rate
-    // so the flood can offer a true 10:1 ratio against it.
-    let (server, ingress, connector) = qos_server();
-    let (uncontended, uncontended_elapsed) =
-        interactive_latencies(&connector, interactive_requests);
-    ingress.shutdown();
-    Arc::try_unwrap(server).ok().expect("ingress released").shutdown();
-    let interactive_rate = interactive_requests as f64 / uncontended_elapsed.as_secs_f64();
-    let flood_rate = 10.0 * interactive_rate;
-
-    // 10:1 flood: one batch connection offers frames at 10x the calibrated
-    // interactive rate while the same interactive loop runs. A single
-    // sender thread — on a small box more senders just add context
-    // switches without changing what the scheduler has to absorb.
-    let flood_total = 10 * interactive_requests;
+/// One run of the closed-loop interactive client, alone or against a
+/// batch flood offered at `flood_rate` frames/s from one sender thread — on
+/// a small box more senders just add context switches without changing
+/// what the scheduler has to absorb.
+fn qos_run(interactive: u64, flood_rate: Option<f64>) -> QosRun {
     let (server, ingress, connector) = qos_server();
     let stop = Arc::new(AtomicBool::new(false));
-    let flood_thread = {
+    let flood_thread = flood_rate.map(|rate| {
+        let flood_total = 10 * interactive;
         let connector = connector.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
@@ -337,18 +293,10 @@ fn qos_arm(interactive_requests: u64) -> QosArm {
             let mut sent = 0u64;
             let start = Instant::now();
             while sent < flood_total && !stop.load(Ordering::Relaxed) {
-                let due = ((start.elapsed().as_secs_f64() * flood_rate) as u64).min(flood_total);
-                let burst = due.saturating_sub(sent).min(4);
-                for _ in 0..burst {
-                    let _ = client.send(&RequestFrame {
-                        class: QosClass::Batch,
-                        model: "butterfly".to_string(),
-                        tenant: "flood".to_string(),
-                        client: 100,
-                        seq: sent,
-                        deadline_us: 0,
-                        payload: payload.clone(),
-                    });
+                let due = ((start.elapsed().as_secs_f64() * rate) as u64).min(flood_total);
+                for _ in 0..due.saturating_sub(sent).min(4) {
+                    let _ =
+                        client.send(&frame(QosClass::Batch, "flood", 100, sent, payload.clone()));
                     sent += 1;
                 }
                 // Drain whatever answers are ready (throttles arrive
@@ -361,43 +309,72 @@ fn qos_arm(interactive_requests: u64) -> QosArm {
             while let Ok(Some(_)) = client.recv_timeout(Duration::from_millis(50)) {}
             sent
         })
-    };
-    // Let the flood establish a backlog before measuring.
-    std::thread::sleep(Duration::from_millis(20));
-    let (flooded, _) = interactive_latencies(&connector, interactive_requests);
+    });
+    if flood_thread.is_some() {
+        // Let the flood establish a backlog before measuring.
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut client = IngressClient::connect(&connector, "interactive").expect("listener up");
+    let mut latencies = Vec::with_capacity(interactive as usize);
+    let run_start = Instant::now();
+    for s in 0..interactive {
+        if s > 0 {
+            std::thread::sleep(THINK);
+        }
+        let payload: Vec<f32> =
+            (0..QOS_DIM).map(|i| ((s as usize * QOS_DIM + i) as f32).sin()).collect();
+        let start = Instant::now();
+        client.send(&frame(QosClass::Interactive, "user", 1, s, payload.into())).expect("up");
+        let response =
+            client.recv_timeout(Duration::from_secs(30)).expect("clean stream").expect("answered");
+        assert_eq!(response.seq, s);
+        assert_eq!(response.status, WireStatus::Compute);
+        latencies.push(start.elapsed().as_micros() as f64);
+    }
+    let interactive_rps = interactive as f64 / run_start.elapsed().as_secs_f64();
+    latencies.sort_unstable_by(f64::total_cmp);
     stop.store(true, Ordering::Relaxed);
-    let batch_flood_frames: u64 = flood_thread.join().expect("flood");
+    let flood_frames = flood_thread.map_or(0, |t| t.join().expect("flood"));
     ingress.shutdown();
     let snapshot = Arc::try_unwrap(server).ok().expect("ingress released").shutdown();
-    let flood_stats = snapshot
-        .ingress
-        .tenants
-        .iter()
-        .find(|t| t.tenant == "flood")
-        .expect("flood tenant counted");
-
-    let uncontended_p99 = quantile(&uncontended, 0.99);
-    let flooded_p99 = quantile(&flooded, 0.99);
-    QosArm {
-        interactive_requests,
-        batch_flood_frames,
-        uncontended_p50_us: quantile(&uncontended, 0.50),
-        uncontended_p99_us: uncontended_p99,
-        flooded_p50_us: quantile(&flooded, 0.50),
-        flooded_p99_us: flooded_p99,
-        p99_ratio: flooded_p99 as f64 / uncontended_p99.max(1) as f64,
-        batch_admitted: flood_stats.admitted,
-        batch_throttled: flood_stats.throttled,
-        batch_deferred: flood_stats.deferred,
+    QosRun {
+        interactive_rps,
+        p50_us: stats::quantile_sorted(&latencies, 0.50),
+        p99_us: stats::quantile_sorted(&latencies, 0.99),
+        flood_frames,
+        flood: snapshot.ingress.tenants.into_iter().find(|t| t.tenant == "flood"),
     }
 }
 
-// ---------------------------------------------------------------------------
+/// The arm's record and its table row.
+fn qos_arm(interactive: u64, trials: usize) -> (QosArm, Vec<String>) {
+    // Calibrates the interactive request rate so the flood offers a true
+    // 10:1 ratio against it.
+    let flood_rate_rps = 10.0 * qos_run(interactive, None).interactive_rps;
+    let arms = rotate(trials, 2, |arm| qos_run(interactive, (arm == 1).then_some(flood_rate_rps)));
+    let p99 = |arm: &[QosRun]| Spread::of(arm.iter().map(|t| t.p99_us));
+    let p99_ratio = ratio(&arms[1], &arms[0], |t| t.p99_us);
+    let row = vec![
+        "interactive p99 us".to_string(),
+        format!("alone {}", p99(&arms[0])),
+        format!("flooded {}", p99(&arms[1])),
+        p99_ratio.to_string(),
+    ];
+    let record = QosArm {
+        interactive_requests: interactive,
+        flood_rate_rps,
+        alone: summary(&arms[0]),
+        flooded: summary(&arms[1]),
+        p99_ratio,
+    };
+    (record, row)
+}
 
 #[derive(Serialize)]
 struct BenchOutput {
     dim: usize,
     workers: usize,
+    submits: u64,
     submit: SubmitArm,
     wire: WireArm,
     qos: QosArm,
@@ -405,48 +382,37 @@ struct BenchOutput {
 
 fn main() {
     let smoke = smoke_run();
-    let submits: u64 = if smoke { 5_000 } else { 200_000 };
+    let submits: u64 = if smoke { 500 } else { 5_000 };
     let frames: u64 = if smoke { 200 } else { 4_000 };
     let interactive: u64 = if smoke { 40 } else { 800 };
+    let trials = serving::trials(smoke);
 
     println!(
-        "bench_ingress: dim {DIM}, {WORKERS} workers, {submits} offered submits, \
-         {frames} wire frames, {interactive} interactive requests{}\n",
+        "bench_ingress: dim {DIM}, {WORKERS} workers, {submits} submits, {frames} wire frames, \
+         {interactive} interactive requests, {trials} trial(s) per arm, median [q1, q3]{}\n",
         if smoke { " [smoke]" } else { "" }
     );
 
-    let submit = submit_arm(submits);
-    println!(
-        "submit path   owned {:>11.0}/s   shared {:>11.0}/s   speedup {:>5.2}x",
-        submit.owned_submits_per_s, submit.shared_submits_per_s, submit.speedup
-    );
+    let (submit, submit_row) = submit_arm(submits, trials);
+    let wire = wire_arm(frames, 256 << 10, trials);
+    let (qos, qos_row) = qos_arm(interactive, trials);
 
-    let wire = wire_arm(frames, 256 << 10);
+    let pass_ms = |d: &measure::Dist| {
+        format!("{:.1} [{:.1}, {:.1}]", d.median_us / 1e3, d.q1_us / 1e3, d.q3_us / 1e3)
+    };
+    let wire_row = vec![
+        format!("decode pass ms ({frames} frames)"),
+        format!("copy-out {}", pass_ms(&wire.decode.baseline)),
+        format!("view {}", pass_ms(&wire.decode.candidate)),
+        format!("{:.2}x", wire.decode.speedup),
+    ];
+    let headers = ["arm", "baseline", "candidate", "ratio"];
+    println!("{}", format_table(&headers, &[submit_row, wire_row, qos_row]));
     println!(
-        "wire decode   view {:>12.0}/s   copy-out {:>9.0}/s   ratio {:>5.2}x   \
-         {:.1} GiB/s   zero-copy {:.1}%",
-        wire.view_frames_per_s,
-        wire.copyout_frames_per_s,
-        wire.view_over_copyout,
-        wire.view_gib_per_s,
+        "zero-copy decode: {:.1}% of payloads were views into the read segments",
         100.0 * wire.zero_copy_frac
     );
 
-    let qos = qos_arm(interactive);
-    println!(
-        "qos isolation alone p50/p99 {:>5}/{:>5} us   flooded p50/p99 {:>5}/{:>5} us   \
-         p99 ratio {:>4.2}x   batch admitted/throttled/deferred {}/{}/{}",
-        qos.uncontended_p50_us,
-        qos.uncontended_p99_us,
-        qos.flooded_p50_us,
-        qos.flooded_p99_us,
-        qos.p99_ratio,
-        qos.batch_admitted,
-        qos.batch_throttled,
-        qos.batch_deferred
-    );
-
-    let output = BenchOutput { dim: DIM, workers: WORKERS, submit, wire, qos };
-    println!();
+    let output = BenchOutput { dim: DIM, workers: WORKERS, submits, submit, wire, qos };
     write_bench_json("ingress", &output, smoke);
 }

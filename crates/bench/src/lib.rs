@@ -3,8 +3,11 @@
 //! Harness library shared by the table/figure reproduction binaries:
 //! paper-reported anchor values, implementation-tier efficiency constants
 //! for the Table 2 comparison, plain-text table formatting, the one pair
-//! timer behind every host A/B comparison ([`measure`]), and the writer
-//! that stamps provenance into every committed `BENCH_*.json` ([`json`]).
+//! timer behind every host A/B comparison ([`measure`]), the one runner
+//! behind every serving experiment ([`serving`]: one served run with its
+//! wall-clock and simulated sections apart, rotated trials, quartile
+//! summaries and ratios only at equal acceptance), and the writer that
+//! stamps provenance into every committed `BENCH_*.json` ([`json`]).
 //!
 //! The binaries take their configuration from constants. `--smoke` asks a
 //! BENCH-writing binary for a CI-sized run that leaves its committed file
@@ -17,6 +20,7 @@
 pub mod anchors;
 pub mod json;
 pub mod measure;
+pub mod serving;
 pub mod simtime;
 #[path = "bin/benchmark/stats.rs"]
 pub mod stats;

@@ -268,6 +268,7 @@ impl Layer for OrthoButterflyLayer {
             .cached_rows
             .take()
             .expect("OrthoButterflyLayer::backward called without a training-mode forward");
+        assert_eq!(grad_output.cols(), self.out_dim, "OrthoButterflyLayer grad dim mismatch");
         assert_eq!(grad_output.rows(), rows, "grad batch does not match cached forward");
         let batch = grad_output.rows();
         let mut db = vec![0.0f32; self.out_dim];
@@ -406,5 +407,15 @@ mod tests {
         assert_eq!(y.shape(), (2, 6));
         let g = layer.backward(&y);
         assert_eq!(g.shape(), (2, 12));
+    }
+
+    #[test]
+    #[should_panic(expected = "grad dim mismatch")]
+    fn backward_rejects_a_gradient_of_the_wrong_width() {
+        let mut rng = seeded_rng(69);
+        let mut layer = OrthoButterflyLayer::new(12, 6, &mut rng);
+        let x = Matrix::random_uniform(2, 12, 1.0, &mut rng);
+        layer.forward(&x, true);
+        layer.backward(&Matrix::zeros(2, 4));
     }
 }

@@ -7,10 +7,11 @@ use crate::request::{ResponseHandle, ServedFrom, SubmitError};
 use crate::server::Server;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// Client-side result of one load-generation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
     /// Requests the generator attempted to submit.
     pub offered: u64,
@@ -20,6 +21,8 @@ pub struct LoadReport {
     pub shed: u64,
     /// Responses received (successes and failures alike).
     pub completed: u64,
+    /// Successful responses: computed, or served from the response cache.
+    pub succeeded: u64,
     /// Responses answered [`ServedFrom::DeadlineExceeded`].
     pub deadline_exceeded: u64,
     /// Requests refused ([`SubmitError::PodDown`]) or answered
@@ -29,7 +32,8 @@ pub struct LoadReport {
     pub elapsed_s: f64,
     /// Offered request rate over the submission window.
     pub offered_rps: f64,
-    /// Completed responses per second over the whole run.
+    /// Successful responses per second over the whole run; failed
+    /// responses (deadline misses, `PodDown`, refusals) do not count.
     pub throughput_rps: f64,
     /// Median end-to-end latency, microseconds (server-attributed).
     pub latency_p50_us: u64,
@@ -177,6 +181,7 @@ fn report(
     slo_sim_us: Option<f64>,
 ) -> LoadReport {
     let completed = outcomes.completed();
+    let succeeded = outcomes.latencies.len() as u64;
     let Outcomes {
         deadline_exceeded,
         pod_down,
@@ -208,11 +213,12 @@ fn report(
         accepted,
         shed,
         completed,
+        succeeded,
         deadline_exceeded,
         pod_down,
         elapsed_s,
         offered_rps: if submit_window_s > 0.0 { offered as f64 / submit_window_s } else { 0.0 },
-        throughput_rps: if elapsed_s > 0.0 { completed as f64 / elapsed_s } else { 0.0 },
+        throughput_rps: if elapsed_s > 0.0 { succeeded as f64 / elapsed_s } else { 0.0 },
         latency_p50_us: quantile(&latencies, 0.50),
         latency_p95_us: quantile(&latencies, 0.95),
         latency_p99_us: quantile(&latencies, 0.99),
@@ -587,8 +593,9 @@ mod tests {
     #[test]
     fn failures_are_counted_but_kept_out_of_the_latency_samples() {
         // Every request carries an already-expired deadline: the report
-        // must count them all as deadline_exceeded while the latency
-        // quantiles stay empty (a ~0 µs failure must not fake a fast tail).
+        // must count them all as deadline_exceeded while the throughput
+        // reads 0 and the latency quantiles stay empty (a ~0 µs failure
+        // must not fake a fast server or a fast tail).
         let config = ServeConfig {
             dim: 64,
             classes: 10,
@@ -605,8 +612,10 @@ mod tests {
         let arrivals = Arrivals::Closed { clients: 3, per_client: 10 };
         let report = plan(&["butterfly"], arrivals, 9, 32).run(&server);
         assert_eq!(report.completed, 30);
+        assert_eq!(report.succeeded, 0);
         assert_eq!(report.deadline_exceeded, 30);
         assert_eq!(report.pod_down, 0);
+        assert_eq!(report.throughput_rps, 0.0, "failed responses are no throughput");
         assert_eq!(report.latency_p99_us, 0, "no successes, no latency samples");
         assert_eq!(report.mean_batch, 0.0);
         server.shutdown();
