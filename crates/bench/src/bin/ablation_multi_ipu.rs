@@ -8,22 +8,12 @@
 //! memory headroom lets much larger models scale at all.
 
 use bfly_bench::format_table;
+use bfly_core::butterfly_trace;
 use bfly_ipu::multi::{data_parallel_step, PodSpec};
 use bfly_tensor::LinOp;
 
 fn dense_trace(n: usize) -> impl Fn(usize) -> Vec<LinOp> {
     move |batch| vec![LinOp::MatMul { m: batch, k: n, n }]
-}
-
-fn butterfly_trace(n: usize) -> impl Fn(usize) -> Vec<LinOp> {
-    move |batch| {
-        let mut ops = vec![LinOp::Permute { rows: batch, width: n }];
-        for _ in 0..n.trailing_zeros() {
-            ops.push(LinOp::Twiddle { pairs: n / 2, batch });
-        }
-        ops.push(LinOp::Elementwise { n: batch * n, flops_per_elem: 1 });
-        ops
-    }
 }
 
 fn main() {
@@ -45,8 +35,10 @@ fn main() {
     for ipus in [1usize, 2, 4, 8] {
         let pod = PodSpec::with_ipus(ipus);
         let dense = data_parallel_step(&pod, global_batch, dense_grad, &dense_trace(n));
-        let bfly = data_parallel_step(&pod, global_batch, bfly_grad, &butterfly_trace(n))
-            .expect("butterfly fits at every pod size");
+        let bfly = data_parallel_step(&pod, global_batch, bfly_grad, &|batch| {
+            butterfly_trace(n, n, batch)
+        })
+        .expect("butterfly fits at every pod size");
         let (dense_cell, dense_eff) = match &dense {
             Ok(r) => {
                 if ipus == 1 {

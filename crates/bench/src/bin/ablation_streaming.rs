@@ -8,6 +8,7 @@
 //! stay resident and keep on-chip throughput.
 
 use bfly_bench::{fmt_bytes, fmt_time, format_table};
+use bfly_core::butterfly_trace;
 use bfly_ipu::streaming::{run_streaming, StreamingSpec};
 use bfly_ipu::IpuDevice;
 use bfly_tensor::ops::trace_flops;
@@ -15,15 +16,6 @@ use bfly_tensor::LinOp;
 
 fn dense_trace(n: usize, batch: usize) -> Vec<LinOp> {
     vec![LinOp::MatMul { m: batch, k: n, n }]
-}
-
-fn butterfly_trace(n: usize, batch: usize) -> Vec<LinOp> {
-    let mut ops = vec![LinOp::Permute { rows: batch, width: n }];
-    for _ in 0..n.trailing_zeros() {
-        ops.push(LinOp::Twiddle { pairs: n / 2, batch });
-    }
-    ops.push(LinOp::Elementwise { n: batch * n, flops_per_elem: 1 });
-    ops
 }
 
 fn main() {
@@ -42,7 +34,7 @@ fn main() {
     for e in 12..=16u32 {
         let n = 1usize << e;
         let dense = run_streaming(&dense_trace(n, batch), spec, &streaming);
-        let bfly = run_streaming(&butterfly_trace(n, batch), spec, &streaming);
+        let bfly = run_streaming(&butterfly_trace(n, n, batch), spec, &streaming);
         let cell = |r: &Result<bfly_ipu::StreamingReport, _>, flops: f64| match r {
             Ok(rep) => format!(
                 "{} ({}{})",
@@ -59,7 +51,7 @@ fn main() {
             format!("2^{e}"),
             fmt_bytes((4 * n * n) as u64),
             cell(&dense, trace_flops(&dense_trace(n, batch))),
-            cell(&bfly, trace_flops(&butterfly_trace(n, batch))),
+            cell(&bfly, trace_flops(&butterfly_trace(n, n, batch))),
         ]);
     }
     println!("{}", format_table(&["N", "dense weights", "dense step", "butterfly step"], &rows));

@@ -17,7 +17,7 @@
 use bfly_bench::anchors::fig6;
 use bfly_bench::json::maybe_write_json;
 use bfly_bench::{fmt_time, format_table};
-use bfly_core::{PixelflyConfig, PixelflyLayer};
+use bfly_core::{butterfly_trace, PixelflyConfig, PixelflyLayer};
 use bfly_gpu::GpuDevice;
 use bfly_ipu::IpuDevice;
 use bfly_nn::{Dense, Layer};
@@ -27,12 +27,7 @@ use bfly_tensor::{seeded_rng, LinOp};
 fn traces(n: usize) -> (Vec<LinOp>, Vec<LinOp>, Vec<LinOp>) {
     let mut rng = seeded_rng(7);
     let linear = Dense::new(n, n, &mut rng).trace(n);
-    // Butterfly: permute + log2(n) twiddle stages + bias.
-    let mut butterfly = vec![LinOp::Permute { rows: n, width: n }];
-    for _ in 0..n.trailing_zeros() {
-        butterfly.push(LinOp::Twiddle { pairs: n / 2, batch: n });
-    }
-    butterfly.push(LinOp::Elementwise { n: n * n, flops_per_elem: 1 });
+    let butterfly = butterfly_trace(n, n, n);
     // Pixelfly: config scales down for small n (grid must admit the
     // butterfly size), as the reference implementation requires.
     let config = pixelfly_config(n);

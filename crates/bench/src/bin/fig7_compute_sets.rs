@@ -8,7 +8,7 @@
 //! memory tracks the compiled structure, not just the tensors.
 
 use bfly_bench::{fmt_bytes, format_table};
-use bfly_core::{PixelflyConfig, PixelflyLayer};
+use bfly_core::{butterfly_trace, PixelflyConfig, PixelflyLayer};
 use bfly_ipu::{account, lower, IpuDevice};
 use bfly_nn::{Dense, Layer};
 use bfly_tensor::{seeded_rng, LinOp};
@@ -22,11 +22,7 @@ fn main() {
     for e in 7..=13u32 {
         let n = 1usize << e;
         let linear = Dense::new(n, n, &mut rng).trace(n);
-        let mut butterfly = vec![LinOp::Permute { rows: n, width: n }];
-        for _ in 0..n.trailing_zeros() {
-            butterfly.push(LinOp::Twiddle { pairs: n / 2, batch: n });
-        }
-        butterfly.push(LinOp::Elementwise { n: n * n, flops_per_elem: 1 });
+        let butterfly = butterfly_trace(n, n, n);
         let mut config = PixelflyConfig::paper_default();
         while n / config.block_size < config.butterfly_size {
             if config.block_size > 2 {

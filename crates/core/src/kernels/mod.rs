@@ -235,11 +235,11 @@ mod wide {
         (block_size: usize, planar: &[f32], x: &mut [f32])
     );
 
-    use super::{Matrix, StageBackward};
+    use super::{Matrix, StageKernel};
 
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
-    pub(super) fn backward_blocks_avx512<S: StageBackward>(
+    pub(super) fn backward_blocks_avx512<S: StageKernel>(
         grad_output: &Matrix,
         map: &[u32],
         stages: &[S],
@@ -254,7 +254,7 @@ mod wide {
 
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    pub(super) fn backward_blocks_avx2<S: StageBackward>(
+    pub(super) fn backward_blocks_avx2<S: StageKernel>(
         grad_output: &Matrix,
         map: &[u32],
         stages: &[S],
@@ -426,7 +426,9 @@ fn rotation_backward_planar(
     }
 }
 
-/// One in-place butterfly stage, as seen by the fused kernels.
+/// One butterfly stage, as seen by the fused kernels: its forward on one
+/// row, in place or out of place, and its backward, which the fused training
+/// path always runs on the planar repack.
 ///
 /// Implemented by the borrowed views [`TwiddleStage`] and [`AngleStage`],
 /// which layers build over their parameter slices and owned transforms
@@ -457,14 +459,11 @@ pub trait StageKernel: Sync {
     /// [`StageKernel::apply_row_into`] reading parameters from the planar
     /// repack; must be bit-identical to it.
     fn apply_row_into_planar(&self, planar: &[f32], src: &[f32], dst: &mut [f32]);
-}
 
-/// A stage that can also backpropagate, for the fused training path, which
-/// always runs on the planar repack.
-pub trait StageBackward: StageKernel {
     /// Length of the per-stage parameter-gradient accumulator (the same in
     /// the planar and the flat layout).
     fn grad_len(&self) -> usize;
+
     /// Backward through the stage for one row, reading the parameters from
     /// the planar repack `planar`: `x` is the cached stage input, `grad` is
     /// dL/d output on entry and dL/d input on exit, and `grad_planar`
@@ -477,6 +476,7 @@ pub trait StageBackward: StageKernel {
         grad: &mut [f32],
         grad_planar: &mut [f32],
     );
+
     /// Writes planar accumulators in the flat layout of the stage's
     /// parameters (`flat.len() == grad_planar.len() == self.grad_len()`).
     fn unpack_grad(&self, grad_planar: &[f32], flat: &mut [f32]);
@@ -518,9 +518,6 @@ impl StageKernel for TwiddleStage<'_> {
     fn apply_row_into_planar(&self, planar: &[f32], src: &[f32], dst: &mut [f32]) {
         apply_twiddle_stage_into_planar(self.block_size, planar, src, dst);
     }
-}
-
-impl StageBackward for TwiddleStage<'_> {
     #[inline]
     fn grad_len(&self) -> usize {
         self.twiddles.len()
@@ -576,9 +573,6 @@ impl StageKernel for AngleStage<'_> {
     fn apply_row_into_planar(&self, planar: &[f32], src: &[f32], dst: &mut [f32]) {
         apply_rotation_stage_into_planar(self.block_size, planar, src, dst);
     }
-}
-
-impl StageBackward for AngleStage<'_> {
     #[inline]
     fn grad_len(&self) -> usize {
         self.angles.len()
@@ -794,7 +788,7 @@ pub fn fused_forward_train<S: StageKernel>(
 ///
 /// The work memory comes from (and returns to) `scratch`; the only
 /// allocation in steady state is the returned matrix.
-pub fn fused_backward<S: StageBackward>(
+pub fn fused_backward<S: StageKernel>(
     grad_output: &Matrix,
     perm: &Permutation,
     stages: &[S],
@@ -835,7 +829,7 @@ pub fn fused_backward<S: StageBackward>(
 /// boundary inside the stage chain (see [`apply_twiddle_stage_into_planar`]).
 /// Every variant compiles the same body, so all are bit-identical.
 #[allow(clippy::too_many_arguments)]
-fn backward_blocks<S: StageBackward>(
+fn backward_blocks<S: StageKernel>(
     grad_output: &Matrix,
     map: &[u32],
     stages: &[S],
@@ -865,7 +859,7 @@ fn backward_blocks<S: StageBackward>(
 /// `rows` holds one row block of gradient rows.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn backward_blocks_impl<S: StageBackward>(
+fn backward_blocks_impl<S: StageKernel>(
     grad_output: &Matrix,
     map: &[u32],
     stages: &[S],
@@ -1038,7 +1032,7 @@ mod tests {
         /// Runs the backward sweep compiled for `isa` (`"generic"`, `"avx2"` or
         /// `"avx512f"`); returns `(dX, accumulators)`, or `None` when the host
         /// lacks the ISA.
-        fn sweep<S: StageBackward>(
+        fn sweep<S: StageKernel>(
             isa: &str,
             g: &Matrix,
             perm: &Permutation,
@@ -1084,7 +1078,7 @@ mod tests {
         /// `±0.0` and subnormals, and in a second pass sparse `±inf` and NaN.
         #[test]
         fn every_isa_body_is_bit_identical() {
-            fn check<S: StageBackward>(
+            fn check<S: StageKernel>(
                 what: &str,
                 g: &Matrix,
                 perm: &Permutation,

@@ -8,7 +8,9 @@
 //! - [`butterfly`] — the `T = B P` factorization of Eq. 3: `log2 n` sparse
 //!   factors with learnable 2x2 twiddles, `O(n log n)` apply and storage;
 //! - [`butterfly_layer`] — the factorization as a trainable `nn.Linear`
-//!   replacement with exact analytic gradients;
+//!   replacement with exact analytic gradients, generic over the
+//!   parametrization of its 2x2 blocks (free twiddles, or the rotations of
+//!   [`ortho`]), and the butterfly's device-op trace;
 //! - [`block_sparse`] / [`pixelfly`] — pixelated butterfly (flat block
 //!   butterfly + low-rank term), including the power-of-two restrictions the
 //!   paper hits on MNIST;
@@ -36,7 +38,7 @@ pub mod shl;
 pub use baselines::{CirculantLayer, FastfoodLayer, LowRankLayer, PrunedDenseLayer};
 pub use block_sparse::BlockSparseMatrix;
 pub use butterfly::{Butterfly, ButterflyFactor};
-pub use butterfly_layer::ButterflyLayer;
+pub use butterfly_layer::{butterfly_trace, ButterflyLayer};
 pub use compress::{
     compress_matrix, compress_model, fit_butterfly, fit_butterfly_hierarchical, CompressAlgo,
     CompressError, FitConfig, FitPerm, FitReport, HierarchicalConfig, LayerCompression,
@@ -46,7 +48,7 @@ pub use conv_butterfly::ButterflyConv1x1;
 pub use kernels::{
     apply_rotation_stage, apply_twiddle_stage, fused_backward, fused_block_backward,
     fused_block_forward, fused_block_forward_train, fused_forward, fused_forward_train, AngleStage,
-    BlockCsr, BlockGrads, LowRankRef, StageBackward, StageKernel, TwiddleStage,
+    BlockCsr, BlockGrads, LowRankRef, StageKernel, TwiddleStage,
 };
 pub use ortho::{OrthoButterfly, OrthoButterflyLayer};
 pub use pixelfly::{flat_butterfly_mask, PixelflyConfig, PixelflyError, PixelflyLayer};

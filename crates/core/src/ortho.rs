@@ -13,9 +13,9 @@
 //! rotation-parametrized; we provide both variants and compare them in the
 //! ablation bench.
 
-use crate::kernels::{fused_backward, fused_forward, fused_forward_train, AngleStage};
-use bfly_nn::{Layer, Param};
-use bfly_tensor::{LinOp, Matrix, Permutation, Scratch};
+use crate::butterfly_layer::{ButterflyLayerOf, Parametrization};
+use crate::kernels::AngleStage;
+use bfly_tensor::{Matrix, Permutation};
 use rand::Rng;
 
 /// One rotation-parametrized butterfly factor: `n/2` angles.
@@ -166,163 +166,37 @@ impl OrthoButterfly {
     }
 }
 
+/// Givens rotations: one angle per mixed pair, `n/2` parameters per factor,
+/// the layout of [`OrthoFactor::angles`].
+pub struct Rotations;
+
+impl Parametrization for Rotations {
+    type Stage<'a> = AngleStage<'a>;
+    const NAME: &'static str = "ortho-butterfly";
+    const PREFIX: &'static str = "ortho";
+
+    #[inline]
+    fn stage(block_size: usize, angles: &[f32]) -> AngleStage<'_> {
+        AngleStage { block_size, angles }
+    }
+
+    fn random_factor(n: usize, block_size: usize, rng: &mut impl Rng) -> Vec<f32> {
+        OrthoFactor::random(n, block_size, rng).angles
+    }
+}
+
 /// The orthogonal butterfly as a trainable layer: `y = crop(R P pad(x)) + b`.
-///
 /// Parameter budget at n = 1024 matches the paper's Table 4 butterfly row
-/// to within 4 parameters (see module docs). The angles live only in the
-/// factor parameters; every kernel call borrows them as [`AngleStage`]
-/// views.
-pub struct OrthoButterflyLayer {
-    in_dim: usize,
-    out_dim: usize,
-    /// The fixed input permutation.
-    perm: Permutation,
-    /// One angle parameter per factor in application order; factor `s` has
-    /// block size `2 << s`.
-    angle_params: Vec<Param>,
-    bias: Param,
-    /// Stage-input cache `[row][stage][n]`, reused across training steps.
-    arena: Vec<f32>,
-    cached_rows: Option<usize>,
-    scratch: Scratch,
-}
-
-/// Stage views over per-factor angles in application order (factor `s` has
-/// block size `2 << s`).
-fn angle_stages<'a>(angles: impl IntoIterator<Item = &'a [f32]>) -> Vec<AngleStage<'a>> {
-    angles
-        .into_iter()
-        .enumerate()
-        .map(|(s, a)| AngleStage { block_size: 2 << s, angles: a })
-        .collect()
-}
-
-impl OrthoButterflyLayer {
-    /// Creates a layer with random rotations and zero bias.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
-        let n = in_dim.max(out_dim).next_power_of_two().max(2);
-        let OrthoButterfly { factors, perm, .. } = OrthoButterfly::random(n, rng);
-        let angle_params = factors
-            .into_iter()
-            .enumerate()
-            .map(|(s, f)| Param::new(format!("ortho.factor{s}"), f.angles))
-            .collect();
-        Self {
-            in_dim,
-            out_dim,
-            perm,
-            angle_params,
-            bias: Param::new("ortho.bias", vec![0.0; out_dim]),
-            arena: Vec::new(),
-            cached_rows: None,
-            scratch: Scratch::new(),
-        }
-    }
-
-    /// Internal transform size.
-    pub fn transform_size(&self) -> usize {
-        self.perm.len()
-    }
-
-    /// Materialises the effective dense weight.
-    pub fn effective_weight(&self) -> Matrix {
-        let factors = self
-            .angle_params
-            .iter()
-            .enumerate()
-            .map(|(s, p)| OrthoFactor { block_size: 2 << s, angles: p.value.clone() })
-            .collect();
-        let butterfly = OrthoButterfly { n: self.perm.len(), factors, perm: self.perm.clone() };
-        butterfly.materialize().submatrix(0, 0, self.out_dim, self.in_dim)
-    }
-}
-
-impl Layer for OrthoButterflyLayer {
-    fn forward(&mut self, input: &Matrix, train: bool) -> Matrix {
-        assert_eq!(input.cols(), self.in_dim, "OrthoButterflyLayer input dim mismatch");
-        let stages = angle_stages(self.angle_params.iter().map(|p| &p.value[..]));
-        if train {
-            let out = fused_forward_train(
-                input,
-                &self.perm,
-                &stages,
-                &self.bias.value,
-                &mut self.arena,
-                &mut self.scratch,
-            );
-            self.cached_rows = Some(input.rows());
-            out
-        } else {
-            fused_forward(input, &self.perm, &stages, &self.bias.value, &mut self.scratch)
-        }
-    }
-
-    fn forward_inference(&self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
-        assert_eq!(input.cols(), self.in_dim, "OrthoButterflyLayer input dim mismatch");
-        let stages = angle_stages(self.angle_params.iter().map(|p| &p.value[..]));
-        fused_forward(input, &self.perm, &stages, &self.bias.value, scratch)
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let rows = self
-            .cached_rows
-            .take()
-            .expect("OrthoButterflyLayer::backward called without a training-mode forward");
-        assert_eq!(grad_output.cols(), self.out_dim, "OrthoButterflyLayer grad dim mismatch");
-        assert_eq!(grad_output.rows(), rows, "grad batch does not match cached forward");
-        let batch = grad_output.rows();
-        let mut db = vec![0.0f32; self.out_dim];
-        for r in 0..batch {
-            for (d, g) in db.iter_mut().zip(grad_output.row(r)) {
-                *d += g;
-            }
-        }
-        self.bias.accumulate_grad(&db);
-
-        let (angles, mut grads): (Vec<_>, Vec<_>) =
-            self.angle_params.iter_mut().map(Param::value_and_grad).unzip();
-        fused_backward(
-            grad_output,
-            &self.perm,
-            &angle_stages(angles),
-            &self.arena,
-            self.in_dim,
-            &mut self.scratch,
-            |s, flat| grads[s].iter_mut().zip(flat).for_each(|(g, d)| *g += d),
-        )
-    }
-
-    fn params(&mut self) -> Vec<&mut Param> {
-        let mut ps: Vec<&mut Param> = self.angle_params.iter_mut().collect();
-        ps.push(&mut self.bias);
-        ps
-    }
-
-    fn param_count(&self) -> usize {
-        self.angle_params.iter().map(Param::len).sum::<usize>() + self.bias.len()
-    }
-
-    fn name(&self) -> &str {
-        "ortho-butterfly"
-    }
-
-    fn trace(&self, batch: usize) -> Vec<LinOp> {
-        // Same execution profile as the free-twiddle butterfly: one small
-        // strided op per factor.
-        let n = self.perm.len();
-        let mut ops = vec![LinOp::Permute { rows: batch, width: n }];
-        for _ in 0..self.angle_params.len() {
-            ops.push(LinOp::Twiddle { pairs: n / 2, batch });
-        }
-        ops.push(LinOp::Elementwise { n: batch * self.out_dim, flops_per_elem: 1 });
-        ops
-    }
-}
+/// to within 4 parameters (see module docs).
+pub type OrthoButterflyLayer = ButterflyLayerOf<Rotations>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfly_nn::Layer;
     use bfly_tensor::seeded_rng;
+
+    crate::butterfly_layer::layer_tests!(Rotations, angle_gradients_match_finite_differences);
 
     #[test]
     fn operator_is_orthogonal() {
@@ -365,57 +239,5 @@ mod tests {
         let total = layer.param_count() + 1024 * 10 + 10;
         assert_eq!(total, 16_394);
         assert!((total as i64 - 16_390).unsigned_abs() <= 4);
-    }
-
-    #[test]
-    fn forward_matches_effective_weight() {
-        let mut rng = seeded_rng(65);
-        let mut layer = OrthoButterflyLayer::new(16, 16, &mut rng);
-        let x = Matrix::random_uniform(4, 16, 1.0, &mut rng);
-        let y = layer.forward(&x, false);
-        let w = layer.effective_weight();
-        let expect = bfly_tensor::matmul::matmul_a_bt(&x, &w);
-        assert!(y.relative_error(&expect) < 1e-4);
-    }
-
-    #[test]
-    fn angle_gradients_match_finite_differences() {
-        let mut rng = seeded_rng(66);
-        let mut layer = OrthoButterflyLayer::new(8, 8, &mut rng);
-        let x = Matrix::random_uniform(3, 8, 1.0, &mut rng);
-        bfly_nn::check_gradients(&mut layer, &x, 1e-3, 3e-2);
-    }
-
-    #[test]
-    fn inference_path_is_bit_identical_to_training_forward() {
-        let mut rng = seeded_rng(68);
-        let mut layer = OrthoButterflyLayer::new(12, 6, &mut rng);
-        let x = Matrix::random_uniform(9, 12, 1.0, &mut rng);
-        let via_train = layer.forward(&x, true);
-        let mut scratch = Scratch::new();
-        let via_inference = layer.forward_inference(&x, &mut scratch);
-        assert_eq!(via_train.as_slice(), via_inference.as_slice());
-    }
-
-    #[test]
-    fn rectangular_shapes_pad_and_crop() {
-        let mut rng = seeded_rng(67);
-        let mut layer = OrthoButterflyLayer::new(12, 6, &mut rng);
-        assert_eq!(layer.transform_size(), 16);
-        let x = Matrix::random_uniform(2, 12, 1.0, &mut rng);
-        let y = layer.forward(&x, true);
-        assert_eq!(y.shape(), (2, 6));
-        let g = layer.backward(&y);
-        assert_eq!(g.shape(), (2, 12));
-    }
-
-    #[test]
-    #[should_panic(expected = "grad dim mismatch")]
-    fn backward_rejects_a_gradient_of_the_wrong_width() {
-        let mut rng = seeded_rng(69);
-        let mut layer = OrthoButterflyLayer::new(12, 6, &mut rng);
-        let x = Matrix::random_uniform(2, 12, 1.0, &mut rng);
-        layer.forward(&x, true);
-        layer.backward(&Matrix::zeros(2, 4));
     }
 }

@@ -108,7 +108,7 @@ impl Case {
 
     /// Checks the fused backward's dX and per-stage gradients (summed into
     /// zeroed buffers) against the oracle's.
-    fn check_backward<S: bfly_core::StageBackward>(
+    fn check_backward<S: bfly_core::StageKernel>(
         &self,
         perm: &Permutation,
         stages: &[S],

@@ -2,7 +2,7 @@
 //! layer traces: the qualitative claims of the paper's evaluation must hold
 //! as executable properties.
 
-use bfly_core::{ButterflyLayer, PixelflyConfig, PixelflyLayer};
+use bfly_core::{ButterflyLayer, OrthoButterflyLayer, PixelflyConfig, PixelflyLayer};
 use bfly_gpu::GpuDevice;
 use bfly_ipu::IpuDevice;
 use bfly_nn::{Dense, Layer};
@@ -16,7 +16,7 @@ fn dense_trace(n: usize, batch: usize) -> Vec<LinOp> {
 }
 
 /// Butterfly-layer trace built without allocating twiddles — identical to
-/// `ButterflyLayer::trace` for power-of-two `n`.
+/// the `trace` of both butterfly layers for power-of-two `n`.
 fn butterfly_trace(n: usize, batch: usize) -> Vec<LinOp> {
     assert!(n.is_power_of_two());
     let mut ops = vec![LinOp::Permute { rows: batch, width: n }];
@@ -32,6 +32,7 @@ fn layer_traces_match_direct_construction() {
     let mut rng = seeded_rng(1);
     assert_eq!(Dense::new(256, 256, &mut rng).trace(32), dense_trace(256, 32));
     assert_eq!(ButterflyLayer::new(256, 256, &mut rng).trace(32), butterfly_trace(256, 32));
+    assert_eq!(OrthoButterflyLayer::new(256, 256, &mut rng).trace(32), butterfly_trace(256, 32));
 }
 
 #[test]
