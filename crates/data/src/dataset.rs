@@ -42,61 +42,47 @@ impl Dataset {
         self.features.cols()
     }
 
-    /// Selects samples by index into a new dataset.
-    pub fn select(&self, indices: &[usize]) -> Dataset {
-        let mut features = Matrix::zeros(indices.len(), self.dim());
-        let mut labels = Vec::with_capacity(indices.len());
-        for (dst, &src) in indices.iter().enumerate() {
-            features.row_mut(dst).copy_from_slice(self.features.row(src));
-            labels.push(self.labels[src]);
-        }
-        Dataset { features, labels, num_classes: self.num_classes }
-    }
-
-    /// Randomly shuffles the samples in place (features and labels together).
-    pub fn shuffle(&mut self, rng: &mut impl Rng) {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.shuffle(rng);
-        *self = self.select(&order);
-    }
-
-    /// Standardises features to zero mean / unit variance per dimension,
-    /// computed over this dataset. Returns the (mean, std) used, so the same
-    /// statistics can be applied to held-out splits via [`Dataset::standardize_with`].
-    pub fn standardize(&mut self) -> (Vec<f32>, Vec<f32>) {
-        let n = self.len().max(1) as f64;
+    /// Reorders the samples in place so that sample `q` becomes the old
+    /// sample `perm[q]`, following each cycle of `perm` with one row buffer.
+    fn permute(&mut self, mut perm: Vec<usize>) {
         let dim = self.dim();
-        let mut mean = vec![0f64; dim];
-        for r in 0..self.len() {
-            for (m, &x) in mean.iter_mut().zip(self.features.row(r)) {
-                *m += x as f64;
+        let mut row = vec![0.0f32; dim];
+        let features = self.features.as_mut_slice();
+        for start in 0..perm.len() {
+            if perm[start] == start {
+                continue;
+            }
+            row.copy_from_slice(&features[start * dim..(start + 1) * dim]);
+            let label = self.labels[start];
+            let mut dst = start;
+            loop {
+                let src = perm[dst];
+                // A settled slot points at itself, so no cycle is walked twice.
+                perm[dst] = dst;
+                if src == start {
+                    features[dst * dim..(dst + 1) * dim].copy_from_slice(&row);
+                    self.labels[dst] = label;
+                    break;
+                }
+                features.copy_within(src * dim..(src + 1) * dim, dst * dim);
+                self.labels[dst] = self.labels[src];
+                dst = src;
             }
         }
-        for m in &mut mean {
-            *m /= n;
-        }
-        let mut var = vec![0f64; dim];
-        for r in 0..self.len() {
-            for ((v, &m), &x) in var.iter_mut().zip(&mean).zip(self.features.row(r)) {
-                let d = x as f64 - m;
-                *v += d * d;
-            }
-        }
-        let mean: Vec<f32> = mean.into_iter().map(|m| m as f32).collect();
-        let std: Vec<f32> = var.into_iter().map(|v| ((v / n).sqrt().max(1e-6)) as f32).collect();
-        self.standardize_with(&mean, &std);
-        (mean, std)
     }
 
-    /// Applies a precomputed per-dimension standardisation.
-    pub fn standardize_with(&mut self, mean: &[f32], std: &[f32]) {
-        assert_eq!(mean.len(), self.dim());
-        assert_eq!(std.len(), self.dim());
-        for r in 0..self.len() {
-            for ((x, &m), &s) in self.features.row_mut(r).iter_mut().zip(mean).zip(std) {
-                *x = (*x - m) / s;
-            }
-        }
+    /// Moves the samples from `at` on into a new dataset and gives their
+    /// room here back to the allocator.
+    fn split_off(&mut self, at: usize) -> Dataset {
+        let (rows, dim) = self.features.shape();
+        let mut features = std::mem::replace(&mut self.features, Matrix::zeros(0, dim)).into_vec();
+        let tail = Matrix::from_vec(rows - at, dim, features[at * dim..].to_vec());
+        features.truncate(at * dim);
+        features.shrink_to_fit();
+        self.features = Matrix::from_vec(at, dim, features);
+        let labels = self.labels.split_off(at);
+        self.labels.shrink_to_fit();
+        Dataset { features: tail, labels, num_classes: self.num_classes }
     }
 }
 
@@ -115,6 +101,12 @@ pub struct Split {
 ///
 /// `val_fraction` is taken from the *training* portion after removing the
 /// test samples, following Table 3 ("validation set: 15 % of training set").
+///
+/// The samples are shuffled in place and each held-out split is then copied
+/// off the tail, so the dataset is never held twice: beyond the shuffled
+/// order and one row, the extra memory is at most the larger held-out split.
+/// In shuffled order the first test-sized block is the test split, the next
+/// val-sized block the validation split and the rest the training split.
 pub fn split(
     mut data: Dataset,
     test_fraction: f64,
@@ -123,22 +115,25 @@ pub fn split(
 ) -> Split {
     assert!((0.0..1.0).contains(&test_fraction));
     assert!((0.0..1.0).contains(&val_fraction));
-    data.shuffle(rng);
     let n = data.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(rng);
     let n_test = ((n as f64) * test_fraction).round() as usize;
-    let n_train_total = n - n_test;
-    let n_val = ((n_train_total as f64) * val_fraction).round() as usize;
-    let idx: Vec<usize> = (0..n).collect();
-    let test = data.select(&idx[0..n_test]);
-    let val = data.select(&idx[n_test..n_test + n_val]);
-    let train = data.select(&idx[n_test + n_val..]);
-    Split { train, val, test }
+    let n_val = (((n - n_test) as f64) * val_fraction).round() as usize;
+    let n_train = n - n_test - n_val;
+    // Lay the samples out as [train | test | val], each in shuffled order.
+    order.rotate_left(n_test + n_val);
+    data.permute(order);
+    let val = data.split_off(n_train + n_test);
+    let test = data.split_off(n_train);
+    Split { train: data, val, test }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bfly_tensor::seeded_rng;
+    use proptest::prelude::*;
 
     fn toy(n: usize, dim: usize) -> Dataset {
         let features = Matrix::from_fn(n, dim, |r, c| (r * dim + c) as f32);
@@ -146,10 +141,43 @@ mod tests {
         Dataset::new(features, labels, 3)
     }
 
+    /// Copies the samples at `indices` into a new dataset.
+    fn select(data: &Dataset, indices: &[usize]) -> Dataset {
+        let mut features = Matrix::zeros(indices.len(), data.dim());
+        let mut labels = Vec::with_capacity(indices.len());
+        for (dst, &src) in indices.iter().enumerate() {
+            features.row_mut(dst).copy_from_slice(data.features.row(src));
+            labels.push(data.labels[src]);
+        }
+        Dataset { features, labels, num_classes: data.num_classes }
+    }
+
+    /// `split` as it was before it worked in place: a shuffled copy of the
+    /// whole dataset, then a copy of each split from it.
+    fn split_by_copies(
+        data: Dataset,
+        test_fraction: f64,
+        val_fraction: f64,
+        rng: &mut impl Rng,
+    ) -> Split {
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        order.shuffle(rng);
+        let data = select(&data, &order);
+        let n = data.len();
+        let n_test = ((n as f64) * test_fraction).round() as usize;
+        let n_train_total = n - n_test;
+        let n_val = ((n_train_total as f64) * val_fraction).round() as usize;
+        let idx: Vec<usize> = (0..n).collect();
+        let test = select(&data, &idx[0..n_test]);
+        let val = select(&data, &idx[n_test..n_test + n_val]);
+        let train = select(&data, &idx[n_test + n_val..]);
+        Split { train, val, test }
+    }
+
     #[test]
     fn select_pairs_features_with_labels() {
         let d = toy(10, 4);
-        let s = d.select(&[3, 7]);
+        let s = select(&d, &[3, 7]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.labels, vec![0, 1]);
         assert_eq!(s.features.row(0), d.features.row(3));
@@ -175,30 +203,39 @@ mod tests {
 
     #[test]
     fn shuffle_keeps_feature_label_pairing() {
-        let mut d = toy(20, 2);
+        let d = toy(20, 2);
         let pairs_before: Vec<(f32, usize)> =
             (0..20).map(|i| (d.features[(i, 0)], d.labels[i])).collect();
-        let mut rng = seeded_rng(3);
-        d.shuffle(&mut rng);
-        for i in 0..20 {
-            let f = d.features[(i, 0)];
-            let l = d.labels[i];
-            assert!(pairs_before.contains(&(f, l)), "pairing broken at {i}");
+        let s = split(d, 0.25, 0.2, &mut seeded_rng(3));
+        for part in [&s.train, &s.val, &s.test] {
+            for i in 0..part.len() {
+                let pair = (part.features[(i, 0)], part.labels[i]);
+                assert!(pairs_before.contains(&pair), "pairing broken at {i}");
+            }
         }
     }
 
-    #[test]
-    fn standardize_yields_zero_mean_unit_var() {
-        let mut rng = seeded_rng(4);
-        let features = Matrix::random_uniform(200, 5, 3.0, &mut rng);
-        let mut d = Dataset::new(features, vec![0; 200], 1);
-        d.standardize();
-        for c in 0..5 {
-            let col = d.features.col(c);
-            let mean: f32 = col.iter().sum::<f32>() / 200.0;
-            let var: f32 = col.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / 200.0;
-            assert!(mean.abs() < 1e-4);
-            assert!((var - 1.0).abs() < 1e-3);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn split_matches_shuffled_copies(
+            n in 0usize..120,
+            dim in 1usize..6,
+            test_fraction in 0.0f64..0.9,
+            val_fraction in 0.0f64..0.9,
+            seed in 0u64..1_000,
+        ) {
+            let data = toy(n, dim);
+            let got = split(data.clone(), test_fraction, val_fraction, &mut seeded_rng(seed));
+            let want = split_by_copies(data, test_fraction, val_fraction, &mut seeded_rng(seed));
+            for (g, w) in [(&got.train, &want.train), (&got.val, &want.val), (&got.test, &want.test)]
+            {
+                prop_assert_eq!(g.features.shape(), w.features.shape());
+                prop_assert_eq!(g.features.as_slice(), w.features.as_slice());
+                prop_assert_eq!(&g.labels, &w.labels);
+                prop_assert_eq!(g.num_classes, w.num_classes);
+            }
         }
     }
 

@@ -41,13 +41,6 @@ impl MatmulProblem {
         self.m as f64 / self.k as f64
     }
 
-    /// Materialises random dense operands `(A, B)`.
-    pub fn dense_operands(&self, rng: &mut WorkspaceRng) -> (Matrix, Matrix) {
-        let a = Matrix::random_uniform(self.m, self.k, 1.0, rng);
-        let b = Matrix::random_uniform(self.k, self.n, 1.0, rng);
-        (a, b)
-    }
-
     /// Materialises a sparse A (given density) and dense B.
     pub fn sparse_operands(&self, density: f64, rng: &mut WorkspaceRng) -> (Csr, Matrix) {
         let a = Csr::random(self.m, self.k, density, rng);

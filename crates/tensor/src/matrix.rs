@@ -221,13 +221,6 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// In-place scaling.
-    pub fn scale_in_place(&mut self, alpha: f32) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
     /// Element-wise (Hadamard) product.
     pub fn hadamard(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in hadamard");

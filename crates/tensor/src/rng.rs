@@ -25,13 +25,6 @@ pub fn derived_rng(seed: u64, stream: u64) -> WorkspaceRng {
     rng
 }
 
-/// Fills a slice with `U(-scale, scale)` samples.
-pub fn fill_uniform(data: &mut [f32], scale: f32, rng: &mut impl Rng) {
-    for x in data {
-        *x = rng.gen_range(-scale..=scale);
-    }
-}
-
 /// Fills a slice with `N(0, std^2)` samples (Box-Muller).
 pub fn fill_normal(data: &mut [f32], std: f32, rng: &mut impl Rng) {
     let mut i = 0;
