@@ -3,7 +3,7 @@
 //! replaces, plus the pixelfly block-sparse product and full training
 //! steps of the butterfly and pixelfly layers.
 
-use bfly_core::{flat_butterfly_mask, BlockSparseMatrix, Butterfly};
+use bfly_core::{flat_butterfly_mask, fused_forward, BlockSparseMatrix, Butterfly};
 use bfly_tensor::{matmul::matmul_a_bt, seeded_rng, Matrix, Scratch};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -14,9 +14,12 @@ fn bench_butterfly_vs_dense(c: &mut Criterion) {
         let butterfly = Butterfly::random(n, &mut rng);
         let dense = Matrix::random_uniform(n, n, 1.0, &mut rng);
         let batch = Matrix::random_uniform(16, n, 1.0, &mut rng);
+        let stages = butterfly.views();
+        let zero_bias = vec![0.0f32; n];
+        let mut scratch = Scratch::new();
         group.throughput(Throughput::Elements((16 * n) as u64));
         group.bench_with_input(BenchmarkId::new("butterfly", n), &n, |b, _| {
-            b.iter(|| butterfly.apply_batch(&batch))
+            b.iter(|| fused_forward(&batch, &butterfly.perm, &stages, &zero_bias, &mut scratch))
         });
         group.bench_with_input(BenchmarkId::new("dense", n), &n, |b, _| {
             b.iter(|| matmul_a_bt(&batch, &dense))

@@ -1,9 +1,8 @@
 //! bench_kernels — times the fused stage-major butterfly kernels against
 //! per-row `Butterfly` oracles on identical inputs.
 //!
-//! Four arms per (n, batch) point, each a per-row oracle (the baseline)
+//! Three arms per (n, batch) point, each a per-row oracle (the baseline)
 //! against the fused kernel (the candidate):
-//!   * `apply`    — `Butterfly::apply` on every row vs `apply_batch`,
 //!   * `train`    — `forward_cached` on every row, keeping every row's
 //!     cache as training must, vs `fused_forward_train`,
 //!   * `backward` — `backward_cached` on every row vs `fused_backward`,
@@ -43,7 +42,6 @@ struct KernelPoint {
     batch: usize,
     /// Timed calls per side in every arm.
     samples: usize,
-    apply: Arm,
     train: Arm,
     backward: Arm,
     infer: Arm,
@@ -54,20 +52,14 @@ struct BenchOutput {
     kernels: Vec<KernelPoint>,
 }
 
-/// `Butterfly::apply` on every row of `x`, plus `bias` when given: the
-/// per-row oracle of `apply_batch` (no bias) and `fused_forward`.
-fn oracle_apply(b: &Butterfly, x: &Matrix, bias: Option<&[f32]>) -> Matrix {
+/// `Butterfly::apply` on every row of `x`, plus `bias`: the per-row oracle
+/// of `fused_forward`.
+fn oracle_apply(b: &Butterfly, x: &Matrix, bias: &[f32]) -> Matrix {
     let mut out = Matrix::zeros(x.rows(), b.n());
     for r in 0..x.rows() {
         let y = b.apply(x.row(r));
-        let row = out.row_mut(r);
-        match bias {
-            Some(bias) => {
-                for ((o, v), bb) in row.iter_mut().zip(&y).zip(bias) {
-                    *o = v + bb;
-                }
-            }
-            None => row.copy_from_slice(&y),
+        for ((o, v), bb) in out.row_mut(r).iter_mut().zip(&y).zip(bias) {
+            *o = v + bb;
         }
     }
     out
@@ -134,10 +126,9 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
     let check = |what: &str, oracle: &[f32], fused: &[f32]| {
         assert_bit_identical(what, n, batch, oracle, fused);
     };
-    check("apply", oracle_apply(&b, &x, None).as_slice(), b.apply_batch(&x).as_slice());
     check(
         "infer",
-        oracle_apply(&b, &x, Some(&bias)).as_slice(),
+        oracle_apply(&b, &x, &bias).as_slice(),
         fused_forward(&x, &b.perm, &stages, &bias, &mut scratch).as_slice(),
     );
     // Backward consumes the forward caches; both sides keep theirs from
@@ -166,15 +157,6 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
     let work = (n * batch * n.trailing_zeros() as usize).max(1);
     let samples = ((work_budget / work as f64) as usize).clamp(10, 200);
 
-    let apply = Arm::time(
-        samples,
-        || {
-            black_box(oracle_apply(&b, &x, None));
-        },
-        || {
-            black_box(b.apply_batch(&x));
-        },
-    );
     let train = Arm::time(
         samples,
         || {
@@ -198,13 +180,13 @@ fn bench_point(n: usize, batch: usize, work_budget: f64) -> KernelPoint {
     let infer = Arm::time(
         samples,
         || {
-            black_box(oracle_apply(&b, &x, Some(&bias)));
+            black_box(oracle_apply(&b, &x, &bias));
         },
         || {
             black_box(fused_forward(&x, &b.perm, &stages, &bias, &mut scratch));
         },
     );
-    KernelPoint { n, batch, samples, apply, train, backward, infer }
+    KernelPoint { n, batch, samples, train, backward, infer }
 }
 
 fn main() {
@@ -230,7 +212,7 @@ fn main() {
         .iter()
         .map(|p| {
             let mut row = vec![p.n.to_string(), p.batch.to_string()];
-            for arm in [&p.apply, &p.train, &p.backward, &p.infer] {
+            for arm in [&p.train, &p.backward, &p.infer] {
                 row.push(format!("{:.1}", arm.baseline.median_us));
                 row.push(format!("{:.1}", arm.candidate.median_us));
                 row.push(format!("{:.2}x", arm.speedup));
@@ -244,9 +226,6 @@ fn main() {
             &[
                 "n",
                 "batch",
-                "apply oracle",
-                "fused",
-                "x",
                 "train oracle",
                 "fused",
                 "x",

@@ -87,8 +87,9 @@ fn git_rev() -> String {
 
 /// Writes a committed benchmark result — `BENCH_<name>.json` in the
 /// current directory (the repo root under `cargo run`), with the
-/// provenance keys of [`stamp`] first — unless this is a smoke run, in
-/// which case the checked-in file is left untouched and a note says so.
+/// provenance keys `host_cores`, `profile` and `git_rev` first — unless
+/// this is a smoke run, in which case the checked-in file is left
+/// untouched and a note says so.
 /// Full-run I/O failure is fatal: a bench run whose numbers cannot be
 /// recorded did not happen.
 pub fn write_bench_json<T: Serialize>(name: &str, value: &T, smoke: bool) {

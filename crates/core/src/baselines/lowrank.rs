@@ -42,11 +42,6 @@ impl LowRankLayer {
         }
     }
 
-    /// The factorization rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// Materialises the effective dense weight `U V` (tests only).
     pub fn effective_weight(&self) -> Matrix {
         let u = Matrix::from_vec(self.out_dim, self.rank, self.u.value.clone());

@@ -97,11 +97,6 @@ impl BlockSparseMatrix {
         (self.rows, self.cols)
     }
 
-    /// Block side length.
-    pub fn block_size(&self) -> usize {
-        self.block
-    }
-
     /// Number of stored blocks.
     pub fn nnz_blocks(&self) -> usize {
         self.blocks.len()
@@ -134,16 +129,6 @@ impl BlockSparseMatrix {
         assert!(idx < self.blocks.len(), "block index {idx} out of range");
         let bb = self.block * self.block;
         &self.data[idx * bb..(idx + 1) * bb]
-    }
-
-    /// Mutable variant of [`block_payload`](Self::block_payload).
-    ///
-    /// # Panics
-    /// Panics if `idx >= self.nnz_blocks()`.
-    pub fn block_payload_mut(&mut self, idx: usize) -> &mut [f32] {
-        assert!(idx < self.blocks.len(), "block index {idx} out of range");
-        let bb = self.block * self.block;
-        &mut self.data[idx * bb..(idx + 1) * bb]
     }
 
     /// CSR-of-blocks view of the coordinate list for the fused kernels
@@ -230,7 +215,7 @@ impl BlockSparseMatrix {
         out
     }
 
-    /// Backward pass for [`matmul_batch`]: given `X` (cached input) and
+    /// Backward pass for [`matmul_batch`](Self::matmul_batch): given `X` (cached input) and
     /// `dY = dL/d output`, accumulates payload gradients into `grad_data`
     /// and returns `dX`.
     pub fn backward_batch(&self, x: &Matrix, grad_out: &Matrix, grad_data: &mut [f32]) -> Matrix {
@@ -378,15 +363,6 @@ mod tests {
         }
         // Outside the pattern everything is zero.
         assert_eq!(w.to_dense()[(0, 4)], 0.0);
-    }
-
-    #[test]
-    fn block_payload_roundtrips_with_mut() {
-        let mut rng = seeded_rng(37);
-        let mut w = sample(&mut rng);
-        w.block_payload_mut(3)[5] = 42.0;
-        assert_eq!(w.block_payload(3)[5], 42.0);
-        assert_eq!(w.block_payload(3).len(), 16);
     }
 
     #[test]

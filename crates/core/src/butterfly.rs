@@ -9,10 +9,9 @@
 //! `T = B P` with `P` a fixed permutation (bit reversal recovers the
 //! Cooley-Tukey FFT dataflow; Eq. 1 is the special case with FFT twiddles).
 
-use crate::kernels::{StageKernel, TwiddleStage};
+use crate::kernels::TwiddleStage;
 use bfly_tensor::{Matrix, Permutation};
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One butterfly factor: `n/2` independent 2x2 twiddles at stride
@@ -77,27 +76,6 @@ impl ButterflyFactor {
         crate::kernels::apply_twiddle_stage(self.block_size, &self.twiddles, x);
     }
 
-    /// Applies the *transpose* of the factor in place (swap b and c).
-    #[inline]
-    pub fn apply_transpose_in_place(&self, x: &mut [f32]) {
-        let n = x.len();
-        let k = self.block_size;
-        let half = k / 2;
-        let mut t = 0usize;
-        for start in (0..n).step_by(k) {
-            for j in 0..half {
-                let p = start + j;
-                let q = p + half;
-                let (a, b, c, d) = quad(&self.twiddles, t);
-                let xp = x[p];
-                let xq = x[q];
-                x[p] = a * xp + c * xq;
-                x[q] = b * xp + d * xq;
-                t += 1;
-            }
-        }
-    }
-
     /// Backward through this factor. `x` is the cached *input* to the factor,
     /// `grad` is dL/d output on entry and dL/d input on exit;
     /// `grad_twiddles` accumulates dL/d twiddle (flat, same layout as
@@ -130,11 +108,6 @@ impl ButterflyFactor {
     /// Number of scalar parameters (4 per twiddle pair).
     pub fn param_count(&self) -> usize {
         self.twiddles.len()
-    }
-
-    /// Number of mixed position pairs (`n/2`).
-    pub fn pairs(&self) -> usize {
-        self.twiddles.len() / 4
     }
 }
 
@@ -236,17 +209,6 @@ impl Butterfly {
         y
     }
 
-    /// Applies the transpose `y = P^T B^T x` (used by backprop through the
-    /// input side and by transpose-layer experiments).
-    pub fn apply_transpose(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.n, "butterfly input length mismatch");
-        let mut y = x.to_vec();
-        for f in self.factors.iter().rev() {
-            f.apply_transpose_in_place(&mut y);
-        }
-        self.perm.inverse().apply(&y)
-    }
-
     /// Borrowed stage views over the factors, in application order — the
     /// form the fused kernels of [`crate::kernels`] take.
     pub fn views(&self) -> Vec<TwiddleStage<'_>> {
@@ -254,54 +216,6 @@ impl Butterfly {
             .iter()
             .map(|f| TwiddleStage { block_size: f.block_size, twiddles: &f.twiddles })
             .collect()
-    }
-
-    /// Applies the transform to every row of a batch matrix in parallel.
-    ///
-    /// Fused and allocation-free per row: the permutation gathers straight
-    /// into the output row, then every stage runs in place on that row while
-    /// it is cache-resident — no per-row `Vec` as the old per-row `apply`
-    /// path had.
-    pub fn apply_batch(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.n, "butterfly batch width mismatch");
-        let map = self.perm.map();
-        let stages = self.views();
-        let mut out = Matrix::zeros(x.rows(), self.n);
-        // Planar twiddle repack, once per batch (see `kernels`); not worth
-        // the deinterleave sweep for tiny batches.
-        let use_planar = x.rows() >= 8;
-        let total: usize =
-            if use_planar { stages.iter().map(StageKernel::planar_len).sum() } else { 0 };
-        let mut planar = vec![0.0f32; total];
-        if use_planar {
-            let mut off = 0;
-            for stage in &stages {
-                let l = stage.planar_len();
-                stage.repack_planar(&mut planar[off..off + l]);
-                off += l;
-            }
-        }
-        let planar_ref: &[f32] = &planar;
-        out.as_mut_slice().par_chunks_mut(self.n).zip(x.as_slice().par_chunks(self.n)).for_each(
-            |(dst, src)| {
-                for (d, &j) in dst.iter_mut().zip(map) {
-                    *d = src[j as usize];
-                }
-                if use_planar {
-                    let mut off = 0;
-                    for stage in &stages {
-                        let l = stage.planar_len();
-                        stage.apply_row_planar(&planar_ref[off..off + l], dst);
-                        off += l;
-                    }
-                } else {
-                    for stage in &stages {
-                        stage.apply_row(dst);
-                    }
-                }
-            },
-        );
-        out
     }
 
     /// Materialises the dense `n x n` matrix `T` with `T x = apply(x)`.
@@ -396,33 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_matches_per_row_apply() {
-        let mut rng = seeded_rng(22);
-        let b = Butterfly::random(16, &mut rng);
-        let x = Matrix::random_uniform(5, 16, 1.0, &mut rng);
-        let y = b.apply_batch(&x);
-        for r in 0..5 {
-            let expect = b.apply(x.row(r));
-            for (a, e) in y.row(r).iter().zip(&expect) {
-                assert!((a - e).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_matches_dense_transpose() {
-        let mut rng = seeded_rng(23);
-        let b = Butterfly::random(16, &mut rng);
-        let t = b.materialize().transpose();
-        let x: Vec<f32> = (0..16).map(|i| (i as f32).cos()).collect();
-        let via_bt = b.apply_transpose(&x);
-        let via_dense = matvec(&t, &x);
-        for (a, d) in via_bt.iter().zip(&via_dense) {
-            assert!((a - d).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn param_count_is_2n_logn() {
         let mut rng = seeded_rng(24);
         let b = Butterfly::random(1024, &mut rng);
@@ -445,7 +332,7 @@ mod tests {
     #[test]
     fn backward_input_grad_matches_transpose_apply() {
         // For y = T x, dL/dx = T^T dL/dy. The cached-backward path must agree
-        // with apply_transpose.
+        // with the materialised transpose.
         let mut rng = seeded_rng(26);
         let b = Butterfly::random(16, &mut rng);
         let x: Vec<f32> = (0..16).map(|i| (i as f32 * 0.21).sin()).collect();
@@ -454,7 +341,7 @@ mod tests {
         let mut gt: Vec<Vec<f32>> =
             b.factors.iter().map(|f| vec![0.0f32; f.twiddles.len()]).collect();
         let gx = b.backward_cached(&cache, &gy, &mut gt);
-        let expect = b.apply_transpose(&gy);
+        let expect = matvec(&b.materialize().transpose(), &gy);
         for (a, e) in gx.iter().zip(&expect) {
             assert!((a - e).abs() < 1e-4, "{a} vs {e}");
         }

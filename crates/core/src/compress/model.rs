@@ -268,9 +268,9 @@ mod tests {
     #[test]
     fn unsupported_layers_are_typed_errors() {
         let mut rng = seeded_rng(94);
-        let model = Sequential::new().push(Box::new(bfly_nn::GlobalAvgPool::new(1, 2, 2)));
+        let model = Sequential::new().push(Box::new(ButterflyLayer::new(4, 4, &mut rng)));
         let err = compress_model(&model, &ModelCompressConfig::default(), &mut rng)
-            .expect_err("pool layers are not rebuildable");
+            .expect_err("structured layers are not rebuildable");
         match err {
             CompressError::UnsupportedLayer(name) => assert!(!name.is_empty()),
             other => panic!("expected UnsupportedLayer, got {other:?}"),

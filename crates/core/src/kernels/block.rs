@@ -15,7 +15,7 @@
 //!   the coordinate list on the hot path. Because the coordinate list is
 //!   sorted lexicographically, the payloads are *already* in CSR order — the
 //!   view is built once with no payload movement.
-//! - **One pass over row blocks**: each block of [`ROW_BLOCK`] batch rows
+//! - **One pass over row blocks**: each block of `ROW_BLOCK` batch rows
 //!   computes its sparse product, then its low-rank correction, then its
 //!   bias while it stays cache-resident; the only allocation is the
 //!   returned output matrix (working buffers come from a caller-owned
@@ -35,11 +35,11 @@
 //!   `dX += dVx V`, `dU += dYᵀ Vx`, `dV += dVxᵀ X`), the sparse term of
 //!   `dX` and the payload gradient. Each loop has one scalar body — the
 //!   per-row code, which is also the non-x86 fallback and the tests'
-//!   oracle — and one explicit eight-lane AVX2 body (see [`avx2`]) that
+//!   oracle — and one explicit eight-lane AVX2 body (see `avx2`) that
 //!   loads each factor or weight row once for several batch rows and
 //!   reproduces the scalar body's bits.
 //!
-//! The low-rank forward uses a fixed eight-lane dot ([`DOT_LANES`]) with an
+//! The low-rank forward uses a fixed eight-lane dot (`DOT_LANES`) with an
 //! explicit reduction tree; its operation order is part of the kernel's
 //! contract (identical on every ISA), which is what keeps the layer's
 //! training forward, eval forward and `forward_inference` bit-identical to
@@ -115,11 +115,6 @@ impl BlockCsr {
             row_ptr[i + 1] += row_ptr[i];
         }
         Self { block, rows, cols, row_ptr, block_row, block_col }
-    }
-
-    /// Block side length.
-    pub fn block_size(&self) -> usize {
-        self.block
     }
 
     /// Logical output width (`rows` of the `out x in` weight).

@@ -29,7 +29,6 @@ pub mod block_sparse;
 pub mod butterfly;
 pub mod butterfly_layer;
 pub mod compress;
-pub mod conv_butterfly;
 pub mod kernels;
 pub mod ortho;
 pub mod pixelfly;
@@ -44,7 +43,6 @@ pub use compress::{
     CompressError, FitConfig, FitPerm, FitReport, HierarchicalConfig, LayerCompression,
     LayerDecision, ModelCompressConfig, ModelCompression,
 };
-pub use conv_butterfly::ButterflyConv1x1;
 pub use kernels::{
     apply_rotation_stage, apply_twiddle_stage, fused_backward, fused_block_backward,
     fused_block_forward, fused_block_forward_train, fused_forward, fused_forward_train, AngleStage,

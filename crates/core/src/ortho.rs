@@ -108,11 +108,6 @@ impl OrthoButterfly {
         Self { n, factors, perm: Permutation::bit_reversal(n) }
     }
 
-    /// Transform size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Number of factors.
     pub fn stages(&self) -> usize {
         self.factors.len()

@@ -1,14 +1,15 @@
-//! Bit-exactness of the fused butterfly training kernels against their
-//! per-row oracles: `fused_forward_train` must reproduce
-//! `Butterfly::forward_cached` (outputs and every cached stage input in the
-//! arena), and `fused_backward` must reproduce `Butterfly::backward_cached`
-//! — or, for the orthogonal butterfly, the per-row
-//! `OrthoFactor::backward_in_place` chain — in dX and in every stage's
-//! parameter gradient, bit for bit. The sizes cross every path of the
-//! kernels: the per-pair loops (n < 32), the narrow tiles (block half 1 to
-//! 8) and the wide tiles (half ≥ 16); the batches cross the 32-row block.
+//! Bit-exactness of the fused butterfly kernels against their per-row
+//! oracles: `fused_forward_train` must reproduce `Butterfly::forward_cached`
+//! (outputs and every cached stage input in the arena), the inference
+//! `fused_forward` the same outputs, and `fused_backward` must reproduce
+//! `Butterfly::backward_cached` — or, for the orthogonal butterfly, the
+//! per-row `OrthoFactor::backward_in_place` chain — in dX and in every
+//! stage's parameter gradient, bit for bit. The sizes cross every path of
+//! the kernels: the per-pair loops (n < 32), the narrow tiles (block half 1
+//! to 8) and the wide tiles (half ≥ 16); the batches cross the planar
+//! repack's 8-row threshold and the 32-row block.
 
-use bfly_core::{fused_backward, fused_forward_train, Butterfly, OrthoButterfly};
+use bfly_core::{fused_backward, fused_forward, fused_forward_train, Butterfly, OrthoButterfly};
 use bfly_tensor::{seeded_rng, Matrix, Permutation, Scratch};
 use proptest::{prop_assert, proptest, ProptestConfig};
 use rand::Rng;
@@ -80,7 +81,8 @@ impl Case {
     }
 
     /// Checks the fused training forward against per-row `(output, stage
-    /// inputs)` from `oracle`, and returns its arena.
+    /// inputs)` from `oracle`, and the fused inference forward against the
+    /// same outputs; returns the training arena.
     fn check_forward<S: bfly_core::StageKernel>(
         &self,
         perm: &Permutation,
@@ -91,11 +93,15 @@ impl Case {
         let mut scratch = Scratch::new();
         let mut arena = Vec::new();
         let y = fused_forward_train(&self.x, perm, stages, &self.bias, &mut arena, &mut scratch);
+        let inferred = fused_forward(&self.x, perm, stages, &self.bias, &mut scratch);
         for r in 0..batch {
             let (out, cache) = oracle(&pad(self.x.row(r), self.n));
             let want: Vec<f32> = out.iter().zip(&self.bias).map(|(v, b)| v + b).collect();
             if bits(y.row(r)) != bits(&want) {
                 return Err(format!("forward output row {r} differs at {}", self.at));
+            }
+            if bits(inferred.row(r)) != bits(&want) {
+                return Err(format!("inference output row {r} differs at {}", self.at));
             }
             for (s, cached) in cache.iter().take(nstages).enumerate() {
                 if bits(arena_row(&arena, batch, nstages, self.n, r, s)) != bits(cached) {
@@ -181,8 +187,9 @@ fn check_ortho(case: &Case) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The free-twiddle butterfly: fused training forward and backward ≡
-    /// per-row `forward_cached` / `backward_cached`, bit for bit.
+    /// The free-twiddle butterfly: fused training and inference forwards
+    /// and the fused backward ≡ per-row `forward_cached` /
+    /// `backward_cached`, bit for bit.
     #[test]
     fn fused_butterfly_training_bit_identical_to_per_row(
         log_n in 1u32..13,          // n = 2 ..= 4096
@@ -196,8 +203,8 @@ proptest! {
         prop_assert!(r.is_ok(), "{}", r.err().unwrap_or_default());
     }
 
-    /// The orthogonal butterfly: fused training forward and backward ≡ the
-    /// per-row rotation chain, bit for bit.
+    /// The orthogonal butterfly: fused training and inference forwards and
+    /// the fused backward ≡ the per-row rotation chain, bit for bit.
     #[test]
     fn fused_ortho_training_bit_identical_to_per_row(
         log_n in 1u32..13,

@@ -10,11 +10,9 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod images;
 pub mod synth;
 pub mod workload;
 
 pub use dataset::{split, Dataset, Split};
-pub use images::{generate_images, ImageSpec};
 pub use synth::{generate, SynthSpec};
 pub use workload::{skew_sweep, square_sweep, MatmulProblem, RateSegment, TrafficTrace};

@@ -82,24 +82,6 @@ pub const TABLE2_DENSITIES: [f64; 2] = [0.10, 0.01];
 /// The square dimension used for Table 2's throughput comparison.
 pub const TABLE2_DIM: usize = 2048;
 
-/// Generates a random dense matrix with a target fraction of *zero* entries
-/// ("sparsity"), kept in dense storage — used to test how dense kernels fare
-/// on sparse data.
-pub fn dense_with_sparsity(n: usize, sparsity: f64, rng: &mut WorkspaceRng) -> Matrix {
-    assert!((0.0..=1.0).contains(&sparsity));
-    Matrix::from_fn(
-        n,
-        n,
-        |_, _| {
-            if rng.gen_bool(sparsity) {
-                0.0
-            } else {
-                rng.gen_range(-1.0f32..1.0)
-            }
-        },
-    )
-}
-
 /// One piecewise-linear span of a [`TrafficTrace`]: the offered request
 /// rate ramps from `start_rps` to `end_rps` over `duration_s` seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -123,13 +105,11 @@ impl RateSegment {
 /// a sequence of piecewise-linear [`RateSegment`]s covering the run.
 ///
 /// Traces describe *offered load over time* — the serving load generators
-/// turn them into concrete arrival timestamps with a seeded RNG
-/// ([`arrivals`] for Poisson, [`pareto_arrivals`] for heavy-tailed), so
-/// the same trace + seed replays the identical arrival sequence on any
-/// host.
+/// turn them into concrete Poisson arrival timestamps with a seeded RNG
+/// ([`arrivals`]), so the same trace + seed replays the identical arrival
+/// sequence on any host.
 ///
 /// [`arrivals`]: TrafficTrace::arrivals
-/// [`pareto_arrivals`]: TrafficTrace::pareto_arrivals
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficTrace {
     /// The spans of the profile, played back to back.
@@ -286,32 +266,6 @@ impl TrafficTrace {
             }
         }
     }
-
-    /// Heavy-tailed arrivals: inter-arrival gaps drawn from a Pareto
-    /// distribution with shape `alpha` (> 1), scaled so the *mean* gap
-    /// tracks the trace's instantaneous rate — bursty flash-crowd-like
-    /// clumping with the same offered load as [`arrivals`].
-    ///
-    /// [`arrivals`]: TrafficTrace::arrivals
-    pub fn pareto_arrivals<R: Rng>(&self, alpha: f64, rng: &mut R) -> Vec<f64> {
-        self.validate();
-        assert!(alpha > 1.0, "Pareto arrivals need alpha > 1 for a finite mean gap");
-        let horizon = self.duration_s();
-        let mut out = Vec::new();
-        let mut t = 0.0f64;
-        loop {
-            let rate = self.rate_at(t).max(f64::EPSILON);
-            // Pareto(alpha, xm) has mean alpha * xm / (alpha - 1); pick xm
-            // so the mean gap is 1 / rate.
-            let xm = (alpha - 1.0) / (alpha * rate);
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            t += xm / u.powf(1.0 / alpha);
-            if t >= horizon {
-                return out;
-            }
-            out.push(t);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -431,32 +385,5 @@ mod tests {
             spike as f64 > quiet as f64 * 3.0,
             "spike window saw {spike} arrivals vs {quiet} in an equal quiet window"
         );
-    }
-
-    #[test]
-    fn pareto_arrivals_are_heavier_tailed_than_poisson() {
-        let trace = TrafficTrace::constant(2000.0, 2.0);
-        let pareto = trace.pareto_arrivals(1.5, &mut seeded_rng(3));
-        let poisson = trace.arrivals(&mut seeded_rng(3));
-        let expected = trace.expected_requests();
-        assert!(
-            (pareto.len() as f64 - expected).abs() < expected * 0.35,
-            "heavy-tailed count {} strays too far from the offered {expected}",
-            pareto.len()
-        );
-        let max_gap = |ts: &[f64]| ts.windows(2).map(|w| w[1] - w[0]).fold(0.0f64, f64::max);
-        assert!(
-            max_gap(&pareto) > max_gap(&poisson),
-            "Pareto gaps should include lulls Poisson almost never produces"
-        );
-    }
-
-    #[test]
-    fn dense_with_sparsity_hits_target() {
-        let mut rng = seeded_rng(2);
-        let m = dense_with_sparsity(128, 0.9, &mut rng);
-        let zeros = m.len() - m.count_nonzero(0.0);
-        let frac = zeros as f64 / m.len() as f64;
-        assert!((frac - 0.9).abs() < 0.02, "zero fraction {frac}");
     }
 }

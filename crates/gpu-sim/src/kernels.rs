@@ -37,7 +37,7 @@ pub const STRIDED_BW_FRACTION: f64 = 0.6;
 pub const KERNELS_PER_TWIDDLE: u64 = 2;
 
 /// Kernel launches the block-sparse pixelfly matmul costs (gather, batched
-/// GEMM, scatter-add in the pure-torch implementation of reference [1]).
+/// GEMM, scatter-add in the pure-torch implementation of reference \[1\]).
 pub const KERNELS_PER_BLOCK_SPMM: u64 = 6;
 
 /// Time and launch count of one op on the GPU.

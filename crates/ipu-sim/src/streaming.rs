@@ -17,7 +17,6 @@ use crate::compiler::{compile, lower, CompileError};
 use crate::executor::execute;
 use crate::memory::account;
 use crate::spec::IpuSpec;
-use bfly_tensor::ops::trace_flops;
 use bfly_tensor::LinOp;
 use serde::{Deserialize, Serialize};
 
@@ -60,24 +59,6 @@ impl StreamingSpec {
             });
         }
         Ok(())
-    }
-
-    /// Returns a copy with out-of-range fields clamped to the nearest valid
-    /// value: `staging_fraction` into (0, 1] (non-finite or non-positive
-    /// values fall back to the M2000 default of 0.5) and `bytes_per_sec` to
-    /// at least 1 byte/s. The clamped spec always passes [`validate`].
-    ///
-    /// [`validate`]: StreamingSpec::validate
-    pub fn clamped(mut self) -> Self {
-        if !self.staging_fraction.is_finite() || self.staging_fraction <= 0.0 {
-            self.staging_fraction = 0.5;
-        } else if self.staging_fraction > 1.0 {
-            self.staging_fraction = 1.0;
-        }
-        if !self.bytes_per_sec.is_finite() || self.bytes_per_sec < 1.0 {
-            self.bytes_per_sec = 1.0;
-        }
-        self
     }
 }
 
@@ -215,14 +196,6 @@ pub fn run_streaming(
     }
 }
 
-/// Convenience: streaming GFLOP/s of a trace (NaN on error).
-pub fn streaming_gflops(trace: &[LinOp], spec: &IpuSpec, streaming: &StreamingSpec) -> f64 {
-    match run_streaming(trace, spec, streaming) {
-        Ok(r) => r.gflops(trace_flops(trace)),
-        Err(_) => f64::NAN,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,27 +296,6 @@ mod tests {
         assert!(StreamingSpec { bytes_per_sec: f64::INFINITY, ..StreamingSpec::m2000() }
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn clamped_specs_always_validate() {
-        for (fraction, bps) in
-            [(0.0, 0.0), (-3.0, -20.0e9), (1.5, f64::NAN), (f64::NAN, f64::INFINITY), (0.5, 20.0e9)]
-        {
-            let spec = StreamingSpec {
-                capacity_bytes: 64 * (1 << 30),
-                bytes_per_sec: bps,
-                staging_fraction: fraction,
-            }
-            .clamped();
-            spec.validate().expect("clamped spec is always usable");
-        }
-        // In-range values pass through untouched.
-        let untouched = StreamingSpec::m2000().clamped();
-        assert_eq!(untouched, StreamingSpec::m2000());
-        // Over-range staging clamps to the edge, not the default.
-        let edge = StreamingSpec { staging_fraction: 2.0, ..StreamingSpec::m2000() }.clamped();
-        assert_eq!(edge.staging_fraction, 1.0);
     }
 
     #[test]

@@ -103,8 +103,8 @@ pub trait Layer: Send + Sync {
     }
 
     /// Exposes the layer's parameters as a dense affine map, when the layer
-    /// *is* one. Default: `None` (structured, stateless, and convolutional
-    /// layers are not inspectable this way).
+    /// *is* one. Default: `None` (structured and stateless layers are not
+    /// inspectable this way).
     fn dense_view(&self) -> Option<DenseView<'_>> {
         None
     }

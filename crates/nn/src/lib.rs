@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod activation;
-pub mod conv;
 pub mod dense;
 pub mod gradcheck;
 pub mod layer;
@@ -17,17 +16,14 @@ pub mod loss;
 pub mod mlp;
 pub mod optim;
 pub mod param;
-pub mod pool;
 pub mod train;
 
 pub use activation::{Relu, Tanh};
-pub use conv::{Conv2d, ConvShape};
 pub use dense::Dense;
 pub use gradcheck::check_gradients;
 pub use layer::{DenseView, Layer, Sequential};
 pub use loss::{accuracy, softmax, softmax_cross_entropy, LossOutput};
 pub use mlp::{build_dense_mlp, dense_mlp_param_count};
-pub use optim::{Adam, Sgd};
+pub use optim::Sgd;
 pub use param::Param;
-pub use pool::{GlobalAvgPool, MaxPool2};
 pub use train::{evaluate, fit, EpochStats, TrainConfig, TrainReport};

@@ -1,4 +1,4 @@
-//! Optimizers. The paper trains with SGD + momentum (Table 3).
+//! The optimizer: SGD with momentum, as the paper trains (Table 3).
 
 use crate::param::Param;
 
@@ -20,11 +20,6 @@ impl Sgd {
         Self { lr, momentum }
     }
 
-    /// The paper's Table 3 configuration: lr = 0.001, momentum = 0.9.
-    pub fn paper_default() -> Self {
-        Self::new(0.001, 0.9)
-    }
-
     /// Applies one update step to the given parameters using their
     /// accumulated gradients, then leaves the gradients untouched (call
     /// `zero_grad` separately, mirroring the usual framework contract).
@@ -41,52 +36,6 @@ impl Sgd {
                 let v = self.momentum * *vel + g;
                 *vel = v;
                 *w -= self.lr * v;
-            }
-        }
-    }
-}
-
-/// Adam optimizer — not used by the paper's benchmark, provided for the
-/// extension experiments (EXPERIMENTS.md ablations).
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
-    step: u64,
-    moments: Vec<(Vec<f32>, Vec<f32>)>,
-}
-
-impl Adam {
-    /// Creates an Adam optimizer with the usual defaults.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, step: 0, moments: Vec::new() }
-    }
-
-    /// Applies one Adam step. Parameter ordering must be stable across calls
-    /// (true for `Sequential::params`).
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.moments.len() != params.len() {
-            self.moments =
-                params.iter().map(|p| (vec![0.0; p.len()], vec![0.0; p.len()])).collect();
-        }
-        self.step += 1;
-        let b1t = 1.0 - self.beta1.powi(self.step as i32);
-        let b2t = 1.0 - self.beta2.powi(self.step as i32);
-        for (p, (m, v)) in params.iter_mut().zip(&mut self.moments) {
-            assert!(!p.is_frozen(), "Adam step on frozen (forward-only) parameter {}", p.name());
-            for i in 0..p.value.len() {
-                let g = p.grad[i];
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-                let mhat = m[i] / b1t;
-                let vhat = v[i] / b2t;
-                p.value[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
     }
@@ -131,19 +80,6 @@ mod tests {
             2000
         };
         assert!(run(0.9) < run(0.0), "momentum should converge faster");
-    }
-
-    #[test]
-    fn adam_descends_a_quadratic() {
-        let mut p = quadratic_param(3.0);
-        let mut opt = Adam::new(0.1);
-        for _ in 0..300 {
-            p.zero_grad();
-            let g = 2.0 * p.value[0];
-            p.accumulate_grad(&[g]);
-            opt.step(&mut [&mut p]);
-        }
-        assert!(p.value[0].abs() < 1e-2, "x = {}", p.value[0]);
     }
 
     #[test]

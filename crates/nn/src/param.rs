@@ -25,13 +25,6 @@ impl Param {
         Self { name: name.into(), value, grad: vec![0.0; n], velocity: vec![0.0; n], frozen: false }
     }
 
-    /// Creates a forward-only parameter: no gradient or momentum buffer is
-    /// allocated, cutting the parameter's memory to a third. Calling
-    /// [`Param::accumulate_grad`] on it panics.
-    pub fn new_frozen(name: impl Into<String>, value: Vec<f32>) -> Self {
-        Self { name: name.into(), value, grad: Vec::new(), velocity: Vec::new(), frozen: true }
-    }
-
     /// Releases the gradient and momentum buffers, converting the parameter
     /// to forward-only (inference) mode. Idempotent; not reversible.
     pub fn freeze(&mut self) {
@@ -92,11 +85,6 @@ impl Param {
         assert!(!self.frozen, "backward into frozen (forward-only) parameter {}", self.name);
         (&self.value, &mut self.grad)
     }
-
-    /// L2 norm of the gradient (diagnostics).
-    pub fn grad_norm(&self) -> f32 {
-        self.grad.iter().map(|g| (*g as f64) * (*g as f64)).sum::<f64>().sqrt() as f32
-    }
 }
 
 #[cfg(test)]
@@ -141,24 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn new_frozen_matches_freeze() {
-        let p = Param::new_frozen("w", vec![2.0; 3]);
-        assert!(p.is_frozen());
-        assert_eq!(p.train_state_bytes(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "frozen")]
     fn frozen_param_rejects_gradients() {
         let mut p = Param::new("w", vec![0.0; 2]);
         p.freeze();
         p.accumulate_grad(&[1.0, 1.0]);
-    }
-
-    #[test]
-    fn grad_norm_matches_manual() {
-        let mut p = Param::new("w", vec![0.0; 2]);
-        p.accumulate_grad(&[3.0, 4.0]);
-        assert!((p.grad_norm() - 5.0).abs() < 1e-6);
     }
 }

@@ -514,11 +514,6 @@ impl FrameDecoder {
         self.rope.push(segment);
     }
 
-    /// Bytes buffered but not yet decoded.
-    pub fn buffered(&self) -> usize {
-        self.rope.len()
-    }
-
     /// How many decoded payloads straddled a segment boundary and had to be
     /// copied (the zero-copy miss counter).
     pub fn payload_copies(&self) -> u64 {

@@ -113,11 +113,6 @@ impl IngressServer {
         self.metrics.clone()
     }
 
-    /// Current depth of the interactive and batch QoS queues.
-    pub fn qos_depths(&self) -> [usize; 2] {
-        self.qos.depths()
-    }
-
     /// Stops accepting, drains the QoS backlog into the server, and joins
     /// every ingress thread. Call before [`crate::Server::shutdown`] so the
     /// drained requests can still be answered.

@@ -257,12 +257,6 @@ impl QosQueue {
         self.cond.notify_one();
     }
 
-    /// Current depth of each class queue.
-    pub fn depths(&self) -> [usize; 2] {
-        let state = self.state.lock();
-        [state.queues[0].len(), state.queues[1].len()]
-    }
-
     /// Stops the queue: new enqueues are refused, and `dequeue` drains what
     /// remains before reporting [`Dequeued::Stopped`].
     pub fn stop(&self) {

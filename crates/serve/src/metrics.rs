@@ -15,7 +15,7 @@ const MAX_SAMPLES: usize = 1 << 17;
 
 /// An exact-sample histogram with percentile queries.
 ///
-/// Samples are stored raw (bounded by [`MAX_SAMPLES`] with systematic
+/// Samples are stored raw (bounded by `MAX_SAMPLES` with systematic
 /// thinning) and sorted on demand at snapshot time — serving benches record
 /// at most a few hundred thousand samples, where exactness beats bucketing.
 #[derive(Default)]

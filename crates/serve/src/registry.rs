@@ -189,7 +189,6 @@ pub struct ModelEntry {
     method: Method,
     tenant: String,
     dim: usize,
-    classes: usize,
     param_count: usize,
     model: Sequential,
     /// Per-batch-size device estimates; the trace (and its pricing) depends
@@ -211,11 +210,6 @@ impl ModelEntry {
     /// Input dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
     }
 
     /// Scalar parameter count (forward-only: one f32 each, no grad/momentum).
@@ -352,7 +346,6 @@ impl ModelRegistry {
                 method,
                 tenant,
                 dim,
-                classes,
                 param_count,
                 model,
                 estimates: RwLock::new(HashMap::new()),

@@ -40,11 +40,11 @@
 //! speed), and any events whose timestamp the clock has passed are applied
 //! before a routing decision is made. Routing policies only ever see the
 //! healthy subset of replicas; when every replica is down, `route` returns
-//! [`PodDown`] instead of blocking forever. A crash bumps the replica's
+//! `PodDown` instead of blocking forever. A crash bumps the replica's
 //! *epoch* and wipes its weight residency; a worker settling a batch whose
 //! routing epoch no longer matches learns the batch was *stranded*: the
 //! reservation is refunded from the dead clock and the batch is re-priced
-//! and re-routed to a survivor via [`Pod::reroute`]. A recovered replica is
+//! and re-routed to a survivor via `Pod::reroute`. A recovered replica is
 //! cold — it re-pays the one-time weight load per model. The per-model
 //! device-time tally lives in the same critical section as the per-replica
 //! clocks, so a snapshot can never observe one ahead of the other.
@@ -53,15 +53,15 @@
 //!
 //! The pod can be built with more replicas than it initially *enrolls*:
 //! replicas beyond the active set are healthy standbys that routing never
-//! sees. [`Pod::grow`] enrolls a standby at runtime (elastic scale-up) —
+//! sees. `Pod::grow` enrolls a standby at runtime (elastic scale-up) —
 //! the grown replica is cold, so its first batch per model pays the priced
 //! weight load through the residency manager, which is exactly the pod's
 //! *time-to-healthy* and lands in `ReplicaStats::weight_load_us`.
-//! [`Pod::drain`] gracefully removes the most recently enrolled replica
+//! `Pod::drain` gracefully removes the most recently enrolled replica
 //! (scale-down): it reuses the crash machinery — epoch bump, stranded
 //! batches refunded and re-routed to survivors, SRAM released — without
 //! counting a crash, so the replica can be grown again later. A warm pool
-//! ([`Pod::prewarm_standby`]) pre-pays standby weight loads at startup so
+//! (`Pod::prewarm_standby`) pre-pays standby weight loads at startup so
 //! later growth is instant. Deterministic tests drive the same transitions
 //! from the fault plan (`FaultKind::Grow` / `FaultKind::Drain`); the live
 //! autoscaler (`crate::autoscale`) calls `grow`/`drain` reactively. With

@@ -153,11 +153,6 @@ impl ResponseHandle {
     pub fn wait_timeout(&self, timeout: Duration) -> Option<InferResponse> {
         self.rx.recv_timeout(timeout).ok()
     }
-
-    /// Non-blocking poll.
-    pub fn try_wait(&self) -> Option<InferResponse> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// Why a submission was rejected at the door.

@@ -39,15 +39,6 @@ pub fn fwht_normalized(data: &mut [f32]) {
     }
 }
 
-/// Applies the unnormalised FWHT to every row of a matrix.
-pub fn fwht_rows(m: &mut Matrix) {
-    let cols = m.cols();
-    assert!(cols.is_power_of_two(), "FWHT row length {cols} must be a power of two");
-    for r in 0..m.rows() {
-        fwht_in_place(m.row_mut(r));
-    }
-}
-
 /// The dense `n x n` Hadamard matrix (entries +-1), for cross-checking.
 pub fn hadamard_matrix(n: usize) -> Matrix {
     assert!(n.is_power_of_two(), "Hadamard order must be a power of two");
@@ -108,22 +99,6 @@ mod tests {
         let hh = crate::matmul::matmul(&h, &h);
         let scaled_identity = Matrix::identity(8).scale(8.0);
         assert!(hh.relative_error(&scaled_identity) < 1e-6);
-    }
-
-    #[test]
-    fn fwht_rows_applies_per_row() {
-        let mut m = Matrix::from_fn(3, 8, |r, c| (r * 8 + c) as f32);
-        let expected: Vec<Vec<f32>> = (0..3)
-            .map(|r| {
-                let mut row = m.row(r).to_vec();
-                fwht_in_place(&mut row);
-                row
-            })
-            .collect();
-        fwht_rows(&mut m);
-        for (r, exp) in expected.iter().enumerate() {
-            assert_eq!(m.row(r), exp.as_slice());
-        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod sparse;
 pub use dct::{dct2, dct2_ortho, dct_matrix};
 pub use fft::{fft, fft_real, ifft, Complex};
 pub use fwht::{fwht_in_place, fwht_normalized};
-pub use matmul::{matmul, matmul_blocked, matmul_naive, matvec, MatmulKind};
+pub use matmul::{matmul, matmul_blocked, matmul_naive, matvec};
 pub use matrix::Matrix;
 pub use ops::LinOp;
 pub use perm::Permutation;

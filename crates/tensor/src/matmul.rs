@@ -13,30 +13,6 @@
 use crate::matrix::Matrix;
 use rayon::prelude::*;
 
-/// Kernel selector, mirroring the paper's implementation tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatmulKind {
-    /// Textbook `i-j-k` triple loop ("GPU naive" / "IPU naive" tier).
-    Naive,
-    /// Cache-blocked `i-k-j` loop ("GPU shmem" / "IPU blocked" tier).
-    Blocked,
-    /// The default [`matmul`] ("cublas" / "poplin" tier): a row-wise axpy
-    /// loop, parallel over rows only with a real `rayon`.
-    Parallel,
-}
-
-/// `C = A * B` with the selected kernel.
-///
-/// # Panics
-/// Panics if the inner dimensions disagree.
-pub fn matmul_with(kind: MatmulKind, a: &Matrix, b: &Matrix) -> Matrix {
-    match kind {
-        MatmulKind::Naive => matmul_naive(a, b),
-        MatmulKind::Blocked => matmul_blocked(a, b),
-        MatmulKind::Parallel => matmul(a, b),
-    }
-}
-
 /// Default multiply: for each output row, one axpy per `A` element over a
 /// row of `B`, which the compiler vectorizes. Rows are split with
 /// `par_chunks_mut`, which the offline `rayon` shim runs sequentially.
@@ -215,7 +191,6 @@ mod tests {
         let reference = matmul_naive(&a, &b);
         assert!(matmul_blocked(&a, &b).relative_error(&reference) < 1e-5);
         assert!(matmul(&a, &b).relative_error(&reference) < 1e-5);
-        assert!(matmul_with(MatmulKind::Parallel, &a, &b).relative_error(&reference) < 1e-5);
     }
 
     #[test]

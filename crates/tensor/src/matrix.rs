@@ -86,23 +86,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Fills a matrix with `N(0, std^2)` samples (Box-Muller, deterministic per RNG).
-    pub fn random_normal(rows: usize, cols: usize, std: f32, rng: &mut impl Rng) -> Self {
-        let n = rows * cols;
-        let mut data = Vec::with_capacity(n);
-        while data.len() < n {
-            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-            let u2: f32 = rng.gen_range(0.0..1.0);
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f32::consts::PI * u2;
-            data.push(r * theta.cos() * std);
-            if data.len() < n {
-                data.push(r * theta.sin() * std);
-            }
-        }
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -167,12 +150,6 @@ impl Matrix {
     /// Iterator over row slices.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))
-    }
-
-    /// Copies column `c` into a fresh vector.
-    pub fn col(&self, c: usize) -> Vec<f32> {
-        assert!(c < self.cols);
-        (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
     /// Returns the transposed matrix.
@@ -245,11 +222,6 @@ impl Matrix {
         self.sub(other).frobenius_norm() / denom
     }
 
-    /// Number of elements whose absolute value exceeds `eps`.
-    pub fn count_nonzero(&self, eps: f32) -> usize {
-        self.data.iter().filter(|x| x.abs() > eps).count()
-    }
-
     /// Extracts a sub-matrix (copy) of `height x width` starting at `(r0, c0)`.
     ///
     /// # Panics
@@ -282,20 +254,6 @@ impl Matrix {
         let mut out = Matrix::zeros(rows, cols);
         out.set_submatrix(0, 0, self);
         out
-    }
-
-    /// Sum of all elements (f64 accumulator for stability).
-    pub fn sum(&self) -> f64 {
-        self.data.iter().map(|x| *x as f64).sum()
-    }
-
-    /// Mean of all elements.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
     }
 
     /// Applies `f` to every element in place.
@@ -444,23 +402,6 @@ mod tests {
     fn frobenius_norm_matches_manual() {
         let m = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn random_normal_moments_are_sane() {
-        let mut rng = seeded_rng(42);
-        let m = Matrix::random_normal(100, 100, 2.0, &mut rng);
-        let mean = m.mean();
-        let var =
-            m.as_slice().iter().map(|x| (*x as f64 - mean).powi(2)).sum::<f64>() / m.len() as f64;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
-    fn count_nonzero_with_threshold() {
-        let m = Matrix::from_rows(&[&[0.0, 1e-9, 0.5, -0.5]]);
-        assert_eq!(m.count_nonzero(1e-6), 2);
     }
 
     #[test]

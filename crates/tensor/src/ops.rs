@@ -137,16 +137,6 @@ impl LinOp {
             LinOp::Copy { bytes } => bytes,
         }
     }
-
-    /// Arithmetic intensity in FLOPs per byte.
-    pub fn intensity(&self) -> f64 {
-        let b = self.min_bytes();
-        if b == 0 {
-            0.0
-        } else {
-            self.flops() / b as f64
-        }
-    }
 }
 
 /// Total FLOPs of a trace.
@@ -197,13 +187,6 @@ mod tests {
         let fft = LinOp::Fft { n, batch: 1 };
         let mm = LinOp::MatMul { m: n, k: n, n: 1 };
         assert!(fft.flops() < mm.flops());
-    }
-
-    #[test]
-    fn intensity_is_flops_per_byte() {
-        let op = LinOp::MatMul { m: 128, k: 128, n: 128 };
-        let expect = op.flops() / op.min_bytes() as f64;
-        assert!((op.intensity() - expect).abs() < 1e-12);
     }
 
     #[test]

@@ -25,21 +25,6 @@ impl Permutation {
         Self { map: (0..n as u32).collect() }
     }
 
-    /// Builds a permutation from a forward map.
-    ///
-    /// # Panics
-    /// Panics if `map` is not a bijection on `{0, .., n-1}`.
-    pub fn from_map(map: Vec<u32>) -> Self {
-        let n = map.len();
-        let mut seen = vec![false; n];
-        for &m in &map {
-            assert!((m as usize) < n, "permutation target {m} out of range");
-            assert!(!seen[m as usize], "duplicate permutation target {m}");
-            seen[m as usize] = true;
-        }
-        Self { map }
-    }
-
     /// Uniformly random permutation.
     pub fn random(n: usize, rng: &mut impl Rng) -> Self {
         let mut map: Vec<u32> = (0..n as u32).collect();
@@ -56,18 +41,6 @@ impl Permutation {
         let bits = n.trailing_zeros();
         let map = (0..n as u32)
             .map(|i| if bits == 0 { i } else { i.reverse_bits() >> (32 - bits) })
-            .collect();
-        Self { map }
-    }
-
-    /// Even-odd separation (perfect unshuffle): output is all even-indexed
-    /// inputs followed by all odd-indexed inputs — the divide step of
-    /// Cooley-Tukey (Eq. 1: "sort even and odd indices").
-    pub fn even_odd(n: usize) -> Self {
-        assert!(n.is_multiple_of(2), "even-odd separation needs even size");
-        let half = n / 2;
-        let map = (0..n as u32)
-            .map(|i| if (i as usize) < half { i * 2 } else { (i - half as u32) * 2 + 1 })
             .collect();
         Self { map }
     }
@@ -124,32 +97,11 @@ impl Permutation {
         }
         out
     }
-
-    /// Permutes the rows of a matrix: output row `i` is input row `map[i]`.
-    pub fn apply_to_matrix_rows(&self, m: &Matrix) -> Matrix {
-        assert_eq!(m.rows(), self.len(), "permutation/matrix height mismatch");
-        let mut out = Matrix::zeros(m.rows(), m.cols());
-        for (i, &j) in self.map.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(m.row(j as usize));
-        }
-        out
-    }
-
-    /// Materialises the permutation matrix `P` with `P x = apply(x)`.
-    pub fn to_matrix(&self) -> Matrix {
-        let n = self.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &j) in self.map.iter().enumerate() {
-            m[(i, j as usize)] = 1.0;
-        }
-        m
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::matvec;
     use crate::rng::seeded_rng;
 
     #[test]
@@ -186,23 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn even_odd_separates_halves() {
-        let p = Permutation::even_odd(8);
-        let x = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
-        assert_eq!(p.apply(&x), vec![0.0, 2.0, 4.0, 6.0, 1.0, 3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn matrix_form_matches_apply() {
-        let mut rng = seeded_rng(5);
-        let p = Permutation::random(12, &mut rng);
-        let x: Vec<f32> = (0..12).map(|i| (i as f32).sqrt()).collect();
-        let via_apply = p.apply(&x);
-        let via_matrix = matvec(&p.to_matrix(), &x);
-        assert_eq!(via_apply, via_matrix);
-    }
-
-    #[test]
     fn apply_to_rows_matches_per_row_apply() {
         let mut rng = seeded_rng(6);
         let p = Permutation::random(10, &mut rng);
@@ -211,19 +146,5 @@ mod tests {
         for r in 0..4 {
             assert_eq!(out.row(r), p.apply(m.row(r)).as_slice());
         }
-    }
-
-    #[test]
-    fn apply_to_matrix_rows_permutes_rows() {
-        let p = Permutation::from_map(vec![2, 0, 1]);
-        let m = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let out = p.apply_to_matrix_rows(&m);
-        assert_eq!(out.as_slice(), &[3.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate permutation target")]
-    fn from_map_rejects_non_bijection() {
-        let _ = Permutation::from_map(vec![0, 0, 1]);
     }
 }

@@ -12,7 +12,7 @@
 ///
 /// [`take`](Scratch::take) hands out a buffer of the requested length
 /// (recycling a previously [`put`](Scratch::put) one when available) and
-/// [`put`] returns it for reuse. Buffer contents after `take` are
+/// [`put`](Scratch::put) returns it for reuse. Buffer contents after `take` are
 /// unspecified — callers must write before reading.
 #[derive(Debug, Default)]
 pub struct Scratch {

@@ -1,15 +1,13 @@
 //! Integration tests of the extension features built on top of the paper's
-//! scope: orthogonal butterfly, pruned baseline, the convolutional path,
-//! multi-IPU scaling, and streaming memory.
+//! scope: orthogonal butterfly, pruned baseline, multi-IPU scaling, and
+//! streaming memory.
 
-use bfly_core::{build_shl, shl_param_count, ButterflyConv1x1, Method, OrthoButterfly};
-use bfly_data::{generate_images, split, ImageSpec};
+use bfly_core::{build_shl, shl_param_count, Method, OrthoButterfly};
+use bfly_data::split;
 use bfly_ipu::multi::{data_parallel_step, PodSpec};
 use bfly_ipu::streaming::{run_streaming, StreamingSpec};
 use bfly_ipu::IpuDevice;
-use bfly_nn::{
-    fit, Conv2d, ConvShape, Dense, GlobalAvgPool, Layer, MaxPool2, Relu, Sequential, TrainConfig,
-};
+use bfly_nn::{fit, Layer, TrainConfig};
 use bfly_tensor::{seeded_rng, LinOp, Matrix};
 
 #[test]
@@ -72,40 +70,6 @@ fn pruned_method_budget_tracks_density() {
 }
 
 #[test]
-fn cnn_with_butterfly_mix_learns_gratings() {
-    // Small images and four well-separated orientations keep the test fast
-    // (cargo test runs unoptimised) while exercising the whole conv stack.
-    let data =
-        generate_images(&ImageSpec { num_classes: 4, side: 16, ..ImageSpec::gratings32(400, 31) });
-    let mut rng = seeded_rng(32);
-    let s = split(data, 0.2, 0.15, &mut rng);
-    let channels = 16usize;
-    let stem = ConvShape {
-        in_channels: 1,
-        out_channels: channels,
-        height: 16,
-        width: 16,
-        kernel: 3,
-        padding: 1,
-    };
-    let mut model = Sequential::new()
-        .push(Box::new(Conv2d::new(stem, &mut rng)))
-        .push(Box::new(Relu::new()))
-        .push(Box::new(MaxPool2::new(channels, 16, 16)))
-        .push(Box::new(ButterflyConv1x1::new(channels, channels, 8, 8, &mut rng)))
-        .push(Box::new(Relu::new()))
-        .push(Box::new(GlobalAvgPool::new(channels, 8, 8)))
-        .push(Box::new(Dense::new(channels, 4, &mut rng)));
-    let config = TrainConfig { epochs: 20, lr: 0.05, seed: 33, ..TrainConfig::default() };
-    let report = fit(&mut model, &s, &config);
-    // CNN training on a tiny budget is noisy; the robust signal is the loss
-    // trend (the example binary demonstrates full accuracy at larger scale).
-    let first = report.epochs.first().expect("epochs").train_loss;
-    let last = report.epochs.last().expect("epochs").train_loss;
-    assert!(last < first * 0.95, "loss barely moved: {first:.3} -> {last:.3}");
-}
-
-#[test]
 fn pod_scaling_helps_butterfly_more_than_dense() {
     let n = 4096usize;
     let dense_grad = (4 * n * n) as u64;
@@ -147,23 +111,4 @@ fn streaming_keeps_butterfly_on_chip_where_dense_spills() {
     let b = run_streaming(&bfly, ipu.spec(), &streaming).expect("resident");
     assert!(b.fully_resident, "butterfly weights must stay on chip");
     assert!(b.seconds() < dense.seconds(), "resident butterfly must beat streamed dense");
-}
-
-#[test]
-fn conv_trace_prices_on_both_simulators() {
-    let mut rng = seeded_rng(41);
-    let shape = ConvShape {
-        in_channels: 16,
-        out_channels: 32,
-        height: 32,
-        width: 32,
-        kernel: 3,
-        padding: 1,
-    };
-    let conv = Conv2d::new(shape, &mut rng);
-    let trace = conv.trace(8);
-    let gpu = bfly_gpu::GpuDevice::a30();
-    let ipu = IpuDevice::gc200();
-    assert!(gpu.run(&trace, false).expect("fits").seconds() > 0.0);
-    assert!(ipu.run(&trace).expect("fits").seconds(ipu.spec()) > 0.0);
 }
