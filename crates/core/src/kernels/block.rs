@@ -22,28 +22,27 @@
 //!   [`Scratch`]). The pass is written as a `rayon` chunk loop, but the
 //!   vendored `rayon` shim runs it on the calling thread: every kernel here
 //!   is single-threaded.
-//! - **Lane-parallel microkernels** for the sparse forward, `b ∈ {4, 8, 16,
-//!   32}` with a generic fallback, behind runtime AVX2/AVX-512 dispatch.
-//!   They vectorize *across the block's output rows*: payloads are repacked
-//!   column-major once per call, and each lane `r` accumulates
-//!   `acc[r] += w[r][c] * x[c]` in ascending-`c` order — the exact FLOP
-//!   sequence of the scalar dot, so results are **bit-identical** to
-//!   [`BlockSparseMatrix::matmul_batch`](crate::BlockSparseMatrix::matmul_batch)
-//!   whichever branch runs.
-//! - **Register tiles** for everything else: the low-rank term of the
-//!   forward, its four products in the backward (`dVx = dY U`,
+//! - **Register tiles** for every product: the sparse forward (payloads
+//!   repacked column-major once per call, lanes across a block's output
+//!   rows, several batch rows per payload-column load), the low-rank term
+//!   of the forward, its four products in the backward (`dVx = dY U`,
 //!   `dX += dVx V`, `dU += dYᵀ Vx`, `dV += dVxᵀ X`), the sparse term of
-//!   `dX` and the payload gradient. Each loop has one scalar body — the
+//!   `dX` and the payload gradient. Each kernel has one scalar body — the
 //!   per-row code, which is also the non-x86 fallback and the tests'
-//!   oracle — and one explicit eight-lane AVX2 body (see `avx2`) that
-//!   loads each factor or weight row once for several batch rows and
-//!   reproduces the scalar body's bits.
+//!   oracle — and one SIMD tile body generic over the vector width (see
+//!   `simd`), run at sixteen lanes on AVX-512 hosts and at eight on AVX2
+//!   hosts; block rows narrower than a vector run the same tiles at eight
+//!   or four lanes. Each lane reproduces one accumulator of the scalar
+//!   body, so results are **bit-identical** to it (and the sparse term to
+//!   [`BlockSparseMatrix::matmul_batch`](crate::BlockSparseMatrix::matmul_batch))
+//!   whichever width runs. Batches below `REPACK_MIN_BATCH` keep the
+//!   per-row scalar sparse forward.
 //!
 //! The low-rank forward uses a fixed eight-lane dot (`DOT_LANES`) with an
 //! explicit reduction tree; its operation order is part of the kernel's
-//! contract (identical on every ISA), which is what keeps the layer's
-//! training forward, eval forward and `forward_inference` bit-identical to
-//! each other.
+//! contract (identical on every ISA: a sixteen-lane register holds two such
+//! dots), which is what keeps the layer's training forward, eval forward
+//! and `forward_inference` bit-identical to each other.
 
 use bfly_tensor::{Matrix, Scratch};
 use rayon::prelude::*;
@@ -142,8 +141,8 @@ impl BlockCsr {
         &self.block_col
     }
 
-    /// Whether this block size has a lane-specialized microkernel (and the
-    /// forward therefore runs on the column-major payload repack).
+    /// Whether this block size has SIMD tiles (and the batched forward
+    /// therefore runs on the column-major payload repack).
     pub fn specialized(&self) -> bool {
         matches!(self.block, 4 | 8 | 16 | 32)
     }
@@ -175,9 +174,9 @@ pub struct BlockGrads<'a> {
 }
 
 /// Transposes each `block x block` payload to column-major
-/// (`dst[c * block + r] = src[r * block + c]`), the layout the
-/// lane-specialized microkernels read. Runs once per batched call and is
-/// amortised over every row.
+/// (`dst[c * block + r] = src[r * block + c]`), the layout the sparse
+/// forward's SIMD tiles read. Runs once per batched call and is amortised
+/// over every row.
 pub fn repack_blocks_colmajor(block: usize, data: &[f32], dst: &mut [f32]) {
     assert_eq!(data.len(), dst.len(), "colmajor repack length mismatch");
     let bb = block * block;
@@ -252,10 +251,11 @@ fn forward_inner(
     if batch == 0 {
         return (out, (keep_vx && rank > 0).then(|| Matrix::zeros(0, rank)));
     }
-    // Column-major payload repack for the lane microkernels; generic block
-    // sizes — and batches too small to amortize the repack — run the scalar
-    // kernel on the row-major payload directly (bit-identical either way).
-    let colmajor = csr.specialized() && batch >= REPACK_MIN_BATCH;
+    // Column-major payload repack for the SIMD tiles; generic block sizes,
+    // hosts without the tiles and batches too small to amortize the repack
+    // run the scalar kernel on the row-major payload directly
+    // (bit-identical either way).
+    let colmajor = csr.specialized() && batch >= REPACK_MIN_BATCH && has_tiles();
     let wt = if colmajor {
         let mut wt = scratch.take(payload.len());
         repack_blocks_colmajor(b, payload, &mut wt);
@@ -342,110 +342,33 @@ fn forward_block(
     }
 }
 
-/// Routes the sparse term of a row block to the widest vector ISA the host
-/// supports. The wide variants recompile the *same* generic body with wider
-/// vector units (see [`wide`]); operation order is unchanged and Rust never
-/// contracts `a * b + c` into an FMA, so every branch is bit-identical.
+/// The sparse term of a row block. On the column-major payload (`colmajor`,
+/// built only when [`has_tiles`]) the SIMD tiles run several rows per
+/// payload load; otherwise each row runs the scalar per-row kernel on the
+/// row-major payload. Both are bit-identical to `matmul_batch`.
 fn sparse_rows(csr: &BlockCsr, w: &[f32], colmajor: bool, iblock: &[f32], oblock: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the runtime check above guarantees avx512f.
-            return unsafe { wide::sparse_rows_avx512(csr, w, colmajor, iblock, oblock) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the runtime check above guarantees avx2.
-            return unsafe { wide::sparse_rows_avx2(csr, w, colmajor, iblock, oblock) };
-        }
+    if colmajor {
+        let isa = simd::Isa::detect().expect("the column-major payload is built for the tiles");
+        return isa.sparse_forward(csr, w, iblock, oblock);
     }
-    sparse_rows_impl(csr, w, colmajor, iblock, oblock)
-}
-
-/// Wide-vector re-instantiations of [`sparse_rows_impl`] for x86-64 — same
-/// trick as the butterfly stage kernels: `#[target_feature]` recompiles the
-/// `#[inline(always)]` generic body with 256-/512-bit vectors enabled, so
-/// the lane microkernels' accumulator rows fill wider registers.
-#[cfg(target_arch = "x86_64")]
-mod wide {
-    use super::BlockCsr;
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn sparse_rows_avx512(
-        csr: &BlockCsr,
-        w: &[f32],
-        colmajor: bool,
-        iblock: &[f32],
-        oblock: &mut [f32],
-    ) {
-        super::sparse_rows_impl(csr, w, colmajor, iblock, oblock)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn sparse_rows_avx2(
-        csr: &BlockCsr,
-        w: &[f32],
-        colmajor: bool,
-        iblock: &[f32],
-        oblock: &mut [f32],
-    ) {
-        super::sparse_rows_impl(csr, w, colmajor, iblock, oblock)
-    }
-}
-
-#[inline(always)]
-fn sparse_rows_impl(csr: &BlockCsr, w: &[f32], colmajor: bool, iblock: &[f32], oblock: &mut [f32]) {
+    debug_assert!(!colmajor, "no tiles read the column-major payload on this host");
     for (orow, irow) in oblock.chunks_mut(csr.out_dim()).zip(iblock.chunks(csr.in_dim())) {
-        sparse_row(csr, w, colmajor, irow, orow);
+        sparse_row_generic(csr, w, irow, orow);
     }
 }
 
-/// One row's block-sparse product `y += W x`, dispatched to the block-size
-/// specialization. `w` is column-major per block when `colmajor` is set
-/// (the lane microkernels' layout), row-major otherwise (generic sizes and
-/// repack-skipping small batches).
-#[inline(always)]
-fn sparse_row(csr: &BlockCsr, w: &[f32], colmajor: bool, x: &[f32], y: &mut [f32]) {
-    if !colmajor {
-        return sparse_row_generic(csr, w, x, y);
-    }
-    match csr.block {
-        4 => sparse_row_lanes::<4>(csr, w, x, y),
-        8 => sparse_row_lanes::<8>(csr, w, x, y),
-        16 => sparse_row_lanes::<16>(csr, w, x, y),
-        32 => sparse_row_lanes::<32>(csr, w, x, y),
-        _ => sparse_row_generic(csr, w, x, y),
-    }
+/// Whether the host runs the SIMD tiles (an x86-64 CPU with AVX2).
+fn has_tiles() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return simd::Isa::detect().is_some();
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
-/// Lane-parallel microkernel: one accumulator lane per output row of the
-/// block, walking the column-major payload in ascending input order. Lane
-/// `r` performs `w[r][0]*x[0] + w[r][1]*x[1] + ...` — the scalar dot's exact
-/// operation order — and each block's accumulator is added to `y` before the
-/// next block's, matching the naive per-block loop bit for bit.
-#[inline(always)]
-fn sparse_row_lanes<const B: usize>(csr: &BlockCsr, wt: &[f32], x: &[f32], y: &mut [f32]) {
-    for (bi, ys) in y.chunks_exact_mut(B).enumerate() {
-        let (lo, hi) = (csr.row_ptr[bi] as usize, csr.row_ptr[bi + 1] as usize);
-        for idx in lo..hi {
-            let bj = csr.block_col[idx] as usize;
-            let xs = &x[bj * B..(bj + 1) * B];
-            let blk = &wt[idx * B * B..(idx + 1) * B * B];
-            let mut acc = [0.0f32; B];
-            for (col, xv) in blk.chunks_exact(B).zip(xs) {
-                for (a, wv) in acc.iter_mut().zip(col) {
-                    *a += wv * xv;
-                }
-            }
-            for (o, a) in ys.iter_mut().zip(acc) {
-                *o += a;
-            }
-        }
-    }
-}
-
-/// Generic fallback for unspecialized block sizes: the naive scalar order on
-/// the row-major payload (trivially bit-identical to `matmul_batch`).
-#[inline(always)]
+/// The scalar body of the sparse forward for one row, on the row-major
+/// payload: per output, `acc = Σ_c w[r][c] · x[c]` in ascending `c` from
+/// zero, then `y[r] += acc` — the naive order of `matmul_batch`.
 fn sparse_row_generic(csr: &BlockCsr, w: &[f32], x: &[f32], y: &mut [f32]) {
     let b = csr.block;
     let bb = b * b;
@@ -492,9 +415,8 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
 /// forward's low-rank term: `Vx = X Vᵀ`, then `Y += Vx Uᵀ`.
 fn lowrank_dots(a: &[f32], b: &[f32], k: usize, c: &mut [f32], add: bool) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the runtime check above guarantees avx2.
-        return unsafe { avx2::dots(a, b, k, c, add) };
+    if let Some(isa) = simd::Isa::detect() {
+        return isa.dots(a, b, k, c, add);
     }
     dots_scalar(a, b, k, c, add)
 }
@@ -553,9 +475,8 @@ impl Lhs<'_> {
 /// `dU += dYᵀ Vx` and `dV += dVxᵀ X`.
 fn lowrank_axpy(a: &[f32], transposed: bool, b: &[f32], n: usize, c: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the runtime check above guarantees avx2.
-        return unsafe { avx2::axpy(a, transposed, b, n, c) };
+    if let Some(isa) = simd::Isa::detect() {
+        return isa.axpy(a, transposed, b, n, c);
     }
     axpy_scalar(a, transposed, b, n, c)
 }
@@ -680,14 +601,8 @@ fn backward_block(
     }
 }
 
-/// Whether the sparse backward has an eight-lane body for this block size:
-/// whole `__m256` rows, up to the paper's 32.
-fn lane_block(block: usize) -> bool {
-    matches!(block, 8 | 16 | 32)
-}
-
-/// `(out_dim, in_dim)` of the sparse backward kernels, after checking
-/// their operands.
+/// `(out_dim, in_dim)` of the sparse kernels, after checking their
+/// operands.
 ///
 /// # Panics
 /// Panics unless `w` is the whole payload, `gy` whole `out_dim` rows and
@@ -704,9 +619,8 @@ fn sparse_shape(csr: &BlockCsr, w: &[f32], gy: &[f32], x: &[f32]) -> (usize, usi
 /// W[r][c]` per stored block, skipping `dY == ±0`.
 fn sparse_dx(csr: &BlockCsr, w: &[f32], gblock: &[f32], gxblock: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if lane_block(csr.block) && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the runtime check above guarantees avx2.
-        return unsafe { avx2::sparse_dx(csr, w, gblock, gxblock) };
+    if let Some(isa) = simd::Isa::detect().filter(|_| csr.specialized()) {
+        return isa.sparse_dx(csr, w, gblock, gxblock);
     }
     sparse_dx_scalar(csr, w, gblock, gxblock)
 }
@@ -741,9 +655,8 @@ fn sparse_dx_scalar(csr: &BlockCsr, w: &[f32], gblock: &[f32], gxblock: &mut [f3
 /// per stored block, samples ascending, skipping `dY == ±0`.
 fn payload_grad(csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if lane_block(csr.block) && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the runtime check above guarantees avx2.
-        return unsafe { avx2::payload_grad(csr, x, gy, gp) };
+    if let Some(isa) = simd::Isa::detect().filter(|_| csr.specialized()) {
+        return isa.payload_grad(csr, x, gy, gp);
     }
     payload_grad_scalar(csr, x, gy, gp)
 }
@@ -772,114 +685,549 @@ fn payload_grad_scalar(csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]) {
     }
 }
 
-/// Explicit eight-lane AVX2 bodies of the low-rank and sparse-backward
-/// kernels.
+/// The SIMD bodies of the sparse forward, the low-rank dots and products,
+/// the sparse dX and the payload gradient: one register-tile body per
+/// kernel, generic over the vector width ([`simd::Simd`]), compiled once
+/// for AVX-512 (16 lanes) and once for AVX2 (8 lanes) and picked at run
+/// time ([`simd::Isa`]).
 ///
-/// Each lane of a `__m256` accumulator is one accumulator of the scalar
-/// body: the same products, added in the same order, starting from the
-/// same value. `_mm256_mul_ps` then `_mm256_add_ps` rounds twice, like the
-/// scalar `a * b + c` (Rust never contracts it into an FMA), so every
+/// Each lane of an accumulator is one accumulator of the scalar body: the
+/// same products, added in the same order, starting from the same value.
+/// A multiply then an add rounds twice, like the scalar `a * b + c` (Rust
+/// never contracts it into an FMA, and no FMA intrinsic is used), so every
 /// output equals the scalar body's bit for bit. The lanes are written out
 /// because the autovectorizer does not find them: const-generic scalar
 /// tiles recompiled under `#[target_feature]` came out with batch rows
 /// shuffled into `xmm` registers, no faster than the per-row loops.
 ///
-/// The only `unsafe` is at the load and store intrinsics, each fed from a
-/// bounds-checked sub-slice; every entry point checks its operand shapes.
+/// The `unsafe` is at the intrinsics, each behind a width token that only
+/// exists on a CPU with the instructions, and at the load and store
+/// intrinsics, each fed from a bounds-checked sub-slice; every entry point
+/// checks its operand shapes.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+mod simd {
     use super::{axpy_lhs, dots_shape, sparse_shape, BlockCsr, Lhs};
     use std::arch::x86_64::*;
-    use std::array::from_fn;
     use std::slice::ChunksExact;
 
     /// Batch rows per tile of the low-rank kernels.
     const MR: usize = 4;
 
-    /// Eight `f32`s from the front of `s`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn load(s: &[f32]) -> __m256 {
-        let s = &s[..8];
-        // SAFETY: `s` is eight in-bounds `f32`s; the load is unaligned.
-        unsafe { _mm256_loadu_ps(s.as_ptr()) }
+    /// A vector width. A value of a type implementing it is a zero-sized
+    /// token that is only made on a CPU with that width's instructions, so
+    /// the methods are safe to call wherever a token is at hand; they
+    /// compile to single instructions once inlined into a
+    /// `#[target_feature]` entry point.
+    pub(super) trait Simd: Copy {
+        /// `f32` lanes per vector.
+        const LANES: usize;
+        /// One vector of `LANES` floats.
+        type V: Copy;
+        /// Which lanes [`Simd::add_kept`] adds.
+        type Keep: Copy;
+        /// The width of half as many lanes (itself at four lanes).
+        type Half: Simd;
+        fn half(self) -> Self::Half;
+        fn zero(self) -> Self::V;
+        fn splat(self, x: f32) -> Self::V;
+        /// The first `LANES` floats of `s`.
+        fn load(self, s: &[f32]) -> Self::V;
+        /// Writes `v` to the first `LANES` floats of `d`.
+        fn store(self, d: &mut [f32], v: Self::V);
+        fn add(self, a: Self::V, b: Self::V) -> Self::V;
+        fn mul(self, a: Self::V, b: Self::V) -> Self::V;
+        /// `g` broadcast, and the lanes to keep: all unless `g` is `±0.0`
+        /// (NaN is kept, as the scalar `g == 0.0` test keeps it).
+        fn splat_nonzero(self, g: f32) -> (Self::V, Self::Keep);
+        /// `acc + p` in the kept lanes and `acc` itself, bit for bit, in
+        /// the others: the scalar body's skipped update.
+        fn add_kept(self, acc: Self::V, p: Self::V, keep: Self::Keep) -> Self::V;
+
+        /// `acc + a * b`, rounded after the multiply and after the add.
+        #[inline(always)]
+        fn mul_add(self, acc: Self::V, a: Self::V, b: Self::V) -> Self::V {
+            self.add(acc, self.mul(a, b))
+        }
     }
 
-    /// Writes `v` to the front eight `f32`s of `d`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn store(d: &mut [f32], v: __m256) {
-        let d = &mut d[..8];
-        // SAFETY: `d` is eight in-bounds, exclusively borrowed `f32`s; the
-        // store is unaligned.
-        unsafe { _mm256_storeu_ps(d.as_mut_ptr(), v) }
+    /// A width whose vectors hold whole eight-lane accumulators of
+    /// `super::dot_lanes`: `DOTS` dots per vector, one per eight-lane
+    /// group.
+    pub(super) trait DotSimd: Simd {
+        /// Dots per vector.
+        const DOTS: usize;
+        /// Eight floats at `t` of each of the `DOTS` rows, one row per
+        /// group.
+        fn load_groups(self, rows: &[&[f32]], t: usize) -> Self::V;
+        /// The eight floats at the front of `s`, in every group.
+        fn dup_group(self, s: &[f32]) -> Self::V;
+        /// `dot_lanes`' reduction `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))` of
+        /// every group of `v`, vector by vector, into `out`.
+        fn reduce_groups(self, v: &[Self::V], out: &mut [f32]);
     }
 
-    /// `acc + a * b`, rounded after the multiply and after the add.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul_add(acc: __m256, a: __m256, b: __m256) -> __m256 {
-        _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+    /// Four lanes (SSE, part of every x86-64 CPU).
+    #[derive(Clone, Copy)]
+    pub(super) struct F32x4(());
+
+    /// Eight lanes (AVX2).
+    #[derive(Clone, Copy)]
+    pub(super) struct F32x8(());
+
+    /// Sixteen lanes (AVX-512F).
+    #[derive(Clone, Copy)]
+    pub(super) struct F32x16(());
+
+    impl F32x8 {
+        pub(super) fn detect() -> Option<Self> {
+            std::arch::is_x86_feature_detected!("avx2").then_some(Self(()))
+        }
+
+        /// [`DotSimd::reduce_groups`] of four vectors at once: two rounds
+        /// of pairwise `hadd` build each half's tree, one add joins the
+        /// halves.
+        #[inline(always)]
+        fn reduce4(self, v: [__m256; 4]) -> [f32; 4] {
+            let mut out = [0.0f32; 4];
+            // SAFETY: `self` proves AVX2; `out` is four writable `f32`s and
+            // the store is unaligned.
+            unsafe {
+                let q = _mm256_hadd_ps(_mm256_hadd_ps(v[0], v[1]), _mm256_hadd_ps(v[2], v[3]));
+                let s = _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps::<1>(q));
+                _mm_storeu_ps(out.as_mut_ptr(), s);
+            }
+            out
+        }
     }
 
-    /// `acc + g * x` where `g` is non-zero, `acc` itself where `g` is
-    /// `±0.0`: the product is replaced by `-0.0`, and `acc + (-0.0)` is
-    /// `acc` bit for bit, `±0.0` included (only a signalling NaN would come
-    /// back quiet, and no arithmetic produces one). Masking the product
-    /// keeps the select off the accumulator's dependency chain, which a
-    /// `blendv` of the accumulator puts three uops on. `keep` and `skip`
-    /// are [`splat_nonzero`]'s.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul_add_kept(acc: __m256, g: __m256, x: __m256, keep: __m256, skip: __m256) -> __m256 {
-        _mm256_add_ps(acc, _mm256_or_ps(_mm256_and_ps(_mm256_mul_ps(g, x), keep), skip))
+    impl F32x16 {
+        pub(super) fn detect() -> Option<Self> {
+            let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+            (avx512 && std::arch::is_x86_feature_detected!("avx2")).then_some(Self(()))
+        }
     }
 
-    /// `g` broadcast, the lanes to keep (all set unless `g` is `±0.0`; the
-    /// unordered `_CMP_NEQ_UQ` keeps NaN, as the scalar `g == 0.0` does),
-    /// and the `-0.0` that replaces a skipped product.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn splat_nonzero(g: f32) -> (__m256, __m256, __m256) {
-        let g = _mm256_set1_ps(g);
-        let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(g, _mm256_setzero_ps());
-        (g, keep, _mm256_andnot_ps(keep, _mm256_set1_ps(-0.0)))
+    impl Simd for F32x4 {
+        const LANES: usize = 4;
+        type V = __m128;
+        type Keep = (__m128, __m128);
+        type Half = F32x4;
+
+        #[inline(always)]
+        fn half(self) -> F32x4 {
+            self
+        }
+        #[inline(always)]
+        fn zero(self) -> __m128 {
+            // SAFETY: every x86-64 CPU has SSE.
+            unsafe { _mm_setzero_ps() }
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m128 {
+            // SAFETY: every x86-64 CPU has SSE.
+            unsafe { _mm_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn load(self, s: &[f32]) -> __m128 {
+            let s = &s[..4];
+            // SAFETY: `s` is four in-bounds `f32`s; the load is unaligned.
+            unsafe { _mm_loadu_ps(s.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, d: &mut [f32], v: __m128) {
+            let d = &mut d[..4];
+            // SAFETY: `d` is four in-bounds, exclusively borrowed `f32`s; the
+            // store is unaligned.
+            unsafe { _mm_storeu_ps(d.as_mut_ptr(), v) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m128, b: __m128) -> __m128 {
+            // SAFETY: every x86-64 CPU has SSE.
+            unsafe { _mm_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m128, b: __m128) -> __m128 {
+            // SAFETY: every x86-64 CPU has SSE.
+            unsafe { _mm_mul_ps(a, b) }
+        }
+        /// The mask, and the `-0.0` that replaces a skipped product (see
+        /// `add_kept`).
+        #[inline(always)]
+        fn splat_nonzero(self, g: f32) -> (__m128, (__m128, __m128)) {
+            // SAFETY: every x86-64 CPU has SSE.
+            unsafe {
+                let g = _mm_set1_ps(g);
+                let keep = _mm_cmpneq_ps(g, _mm_setzero_ps());
+                (g, (keep, _mm_andnot_ps(keep, _mm_set1_ps(-0.0))))
+            }
+        }
+        /// A skipped product is replaced by `-0.0`, and `acc + (-0.0)` is
+        /// `acc` bit for bit, `±0.0` included (only a signalling NaN would
+        /// come back quiet, and no arithmetic produces one). Masking the
+        /// product keeps the select off the accumulator's dependency chain.
+        #[inline(always)]
+        fn add_kept(self, acc: __m128, p: __m128, (keep, skip): (__m128, __m128)) -> __m128 {
+            // SAFETY: every x86-64 CPU has SSE.
+            unsafe { _mm_add_ps(acc, _mm_or_ps(_mm_and_ps(p, keep), skip)) }
+        }
     }
 
-    /// [`super::dot_lanes`]'s reduction `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`
-    /// of four accumulators at once: two rounds of pairwise `hadd` build
-    /// each half's tree, one add joins the halves.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn reduce4(v: [__m256; 4]) -> [f32; 4] {
-        let q = _mm256_hadd_ps(_mm256_hadd_ps(v[0], v[1]), _mm256_hadd_ps(v[2], v[3]));
-        let s = _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps::<1>(q));
-        let mut out = [0.0f32; 4];
-        // SAFETY: `out` is four writable `f32`s; the store is unaligned.
-        unsafe { _mm_storeu_ps(out.as_mut_ptr(), s) };
-        out
+    impl Simd for F32x8 {
+        const LANES: usize = 8;
+        type V = __m256;
+        type Keep = (__m256, __m256);
+        type Half = F32x4;
+
+        #[inline(always)]
+        fn half(self) -> F32x4 {
+            F32x4(())
+        }
+        #[inline(always)]
+        fn zero(self) -> __m256 {
+            // SAFETY: `self` proves AVX2.
+            unsafe { _mm256_setzero_ps() }
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m256 {
+            // SAFETY: `self` proves AVX2.
+            unsafe { _mm256_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn load(self, s: &[f32]) -> __m256 {
+            let s = &s[..8];
+            // SAFETY: `self` proves AVX2; `s` is eight in-bounds `f32`s and
+            // the load is unaligned.
+            unsafe { _mm256_loadu_ps(s.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, d: &mut [f32], v: __m256) {
+            let d = &mut d[..8];
+            // SAFETY: `self` proves AVX2; `d` is eight in-bounds, exclusively
+            // borrowed `f32`s and the store is unaligned.
+            unsafe { _mm256_storeu_ps(d.as_mut_ptr(), v) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m256, b: __m256) -> __m256 {
+            // SAFETY: `self` proves AVX2.
+            unsafe { _mm256_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m256, b: __m256) -> __m256 {
+            // SAFETY: `self` proves AVX2.
+            unsafe { _mm256_mul_ps(a, b) }
+        }
+        /// As [`F32x4`]'s: the unordered `_CMP_NEQ_UQ` keeps NaN.
+        #[inline(always)]
+        fn splat_nonzero(self, g: f32) -> (__m256, (__m256, __m256)) {
+            // SAFETY: `self` proves AVX2.
+            unsafe {
+                let g = _mm256_set1_ps(g);
+                let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(g, _mm256_setzero_ps());
+                (g, (keep, _mm256_andnot_ps(keep, _mm256_set1_ps(-0.0))))
+            }
+        }
+        /// As [`F32x4`]'s: a skipped product becomes `-0.0`. A `blendv` of
+        /// the accumulator would put three uops on its dependency chain.
+        #[inline(always)]
+        fn add_kept(self, acc: __m256, p: __m256, (keep, skip): (__m256, __m256)) -> __m256 {
+            // SAFETY: `self` proves AVX2.
+            unsafe { _mm256_add_ps(acc, _mm256_or_ps(_mm256_and_ps(p, keep), skip)) }
+        }
+    }
+
+    impl Simd for F32x16 {
+        const LANES: usize = 16;
+        type V = __m512;
+        type Keep = __mmask16;
+        type Half = F32x8;
+
+        #[inline(always)]
+        fn half(self) -> F32x8 {
+            F32x8(())
+        }
+        #[inline(always)]
+        fn zero(self) -> __m512 {
+            // SAFETY: `self` proves AVX-512F.
+            unsafe { _mm512_setzero_ps() }
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m512 {
+            // SAFETY: `self` proves AVX-512F.
+            unsafe { _mm512_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn load(self, s: &[f32]) -> __m512 {
+            let s = &s[..16];
+            // SAFETY: `self` proves AVX-512F; `s` is sixteen in-bounds `f32`s
+            // and the load is unaligned.
+            unsafe { _mm512_loadu_ps(s.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, d: &mut [f32], v: __m512) {
+            let d = &mut d[..16];
+            // SAFETY: `self` proves AVX-512F; `d` is sixteen in-bounds,
+            // exclusively borrowed `f32`s and the store is unaligned.
+            unsafe { _mm512_storeu_ps(d.as_mut_ptr(), v) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m512, b: __m512) -> __m512 {
+            // SAFETY: `self` proves AVX-512F.
+            unsafe { _mm512_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m512, b: __m512) -> __m512 {
+            // SAFETY: `self` proves AVX-512F.
+            unsafe { _mm512_mul_ps(a, b) }
+        }
+        /// The mask register of the lanes to keep (`_CMP_NEQ_UQ`: NaN is
+        /// kept).
+        #[inline(always)]
+        fn splat_nonzero(self, g: f32) -> (__m512, __mmask16) {
+            // SAFETY: `self` proves AVX-512F.
+            unsafe {
+                let g = _mm512_set1_ps(g);
+                (g, _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(g, _mm512_setzero_ps()))
+            }
+        }
+        /// A masked add: the skipped lanes keep `acc` untouched.
+        #[inline(always)]
+        fn add_kept(self, acc: __m512, p: __m512, keep: __mmask16) -> __m512 {
+            // SAFETY: `self` proves AVX-512F.
+            unsafe { _mm512_mask_add_ps(acc, keep, acc, p) }
+        }
+    }
+
+    impl DotSimd for F32x8 {
+        const DOTS: usize = 1;
+
+        #[inline(always)]
+        fn load_groups(self, rows: &[&[f32]], t: usize) -> __m256 {
+            self.load(&rows[0][t..])
+        }
+        #[inline(always)]
+        fn dup_group(self, s: &[f32]) -> __m256 {
+            self.load(s)
+        }
+        #[inline(always)]
+        fn reduce_groups(self, v: &[__m256], out: &mut [f32]) {
+            for (group, sums) in v.chunks(4).zip(out.chunks_mut(4)) {
+                let last = group.len() - 1;
+                let four = [group[0], group[1.min(last)], group[2.min(last)], group[3.min(last)]];
+                sums.copy_from_slice(&self.reduce4(four)[..group.len()]);
+            }
+        }
+    }
+
+    impl DotSimd for F32x16 {
+        const DOTS: usize = 2;
+
+        /// Two rows' eight floats, the second row in the upper half.
+        #[inline(always)]
+        fn load_groups(self, rows: &[&[f32]], t: usize) -> __m512 {
+            let (lo, hi) = (&rows[0][t..t + 8], &rows[1][t..t + 8]);
+            // SAFETY: `self` proves AVX-512F (and AVX); `lo` and `hi` are
+            // eight in-bounds `f32`s each and the loads are unaligned.
+            unsafe {
+                let lo = _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(lo.as_ptr())));
+                let hi = _mm256_castps_pd(_mm256_loadu_ps(hi.as_ptr()));
+                _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, hi))
+            }
+        }
+        #[inline(always)]
+        fn dup_group(self, s: &[f32]) -> __m512 {
+            let s = &s[..8];
+            // SAFETY: `self` proves AVX-512F (and AVX); `s` is eight
+            // in-bounds `f32`s and the load is unaligned.
+            unsafe {
+                let v = _mm256_castps_pd(_mm256_loadu_ps(s.as_ptr()));
+                _mm512_castpd_ps(_mm512_broadcast_f64x4(v))
+            }
+        }
+        /// Splits each vector into its two groups and reduces them four at
+        /// a time on the eight-lane tree.
+        #[inline(always)]
+        fn reduce_groups(self, v: &[__m512], out: &mut [f32]) {
+            // SAFETY: `self` proves AVX-512F.
+            let halves = |z: __m512| unsafe {
+                let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(z));
+                (_mm512_castps512_ps256(z), _mm256_castpd_ps(hi))
+            };
+            for (pair, sums) in v.chunks(2).zip(out.chunks_mut(4)) {
+                let (a0, a1) = halves(pair[0]);
+                let (b0, b1) = halves(pair[pair.len() - 1]);
+                sums.copy_from_slice(&self.half().reduce4([a0, a1, b0, b1])[..2 * pair.len()]);
+            }
+        }
+    }
+
+    /// The vector width the tiles run at: the widest the host has.
+    #[derive(Clone, Copy)]
+    pub(super) enum Isa {
+        Avx512(F32x16),
+        Avx2(F32x8),
+    }
+
+    impl Isa {
+        /// `None` on a CPU without AVX2. The feature checks are cached by
+        /// the standard library, so this is a few loads per call.
+        pub(super) fn detect() -> Option<Self> {
+            F32x16::detect().map(Isa::Avx512).or_else(|| F32x8::detect().map(Isa::Avx2))
+        }
+    }
+
+    /// One `Isa` method per kernel, running its generic body compiled
+    /// under `#[target_feature]` for the token's width.
+    macro_rules! entry_points {
+        ($($kernel:ident($($arg:ident: $ty:ty),*);)*) => {
+            impl Isa {
+                $(
+                    pub(super) fn $kernel(self, $($arg: $ty),*) {
+                        #[target_feature(enable = "avx512f")]
+                        fn avx512(s: F32x16, $($arg: $ty),*) {
+                            $kernel(s, $($arg),*)
+                        }
+                        #[target_feature(enable = "avx2")]
+                        fn avx2(s: F32x8, $($arg: $ty),*) {
+                            $kernel(s, $($arg),*)
+                        }
+                        match self {
+                            // SAFETY: an `F32x16` is only made on a CPU with
+                            // AVX-512F and AVX2.
+                            Isa::Avx512(s) => unsafe { avx512(s, $($arg),*) },
+                            // SAFETY: an `F32x8` is only made on a CPU with
+                            // AVX2.
+                            Isa::Avx2(s) => unsafe { avx2(s, $($arg),*) },
+                        }
+                    }
+                )*
+            }
+        };
+    }
+
+    entry_points! {
+        sparse_forward(csr: &BlockCsr, wt: &[f32], x: &[f32], y: &mut [f32]);
+        dots(a: &[f32], b: &[f32], k: usize, c: &mut [f32], add: bool);
+        axpy(a: &[f32], transposed: bool, b: &[f32], n: usize, c: &mut [f32]);
+        sparse_dx(csr: &BlockCsr, w: &[f32], g: &[f32], gx: &mut [f32]);
+        payload_grad(csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]);
+    }
+
+    /// Runs `$tiles::<T, V, R>` for a block-sparse kernel: `T` is `$S` or
+    /// the narrower width whose `V` vectors span one row of a `$block`-wide
+    /// block, and `R` (tile rows) is four, or two when a block row takes
+    /// four vectors, so the accumulators fit the register file.
+    macro_rules! by_block {
+        ($S:ident, $s:expr, $block:expr, $tiles:ident($($arg:expr),*)) => {
+            match $block {
+                b if b == 4 * $S::LANES => $tiles::<$S, 4, 2>($s, $($arg),*),
+                b if b == 2 * $S::LANES => $tiles::<$S, 2, 4>($s, $($arg),*),
+                b if b == $S::LANES => $tiles::<$S, 1, 4>($s, $($arg),*),
+                b if b == <$S::Half as Simd>::LANES => {
+                    $tiles::<$S::Half, 1, 4>($s.half(), $($arg),*)
+                }
+                b if b == <<$S::Half as Simd>::Half as Simd>::LANES => {
+                    $tiles::<<$S::Half as Simd>::Half, 1, 4>($s.half().half(), $($arg),*)
+                }
+                b => panic!("no lane tile for block size {b}"),
+            }
+        };
+    }
+
+    /// The sparse forward `y += W x` of a row block on the column-major
+    /// payload `wt`.
+    #[inline(always)]
+    fn sparse_forward<S: Simd>(s: S, csr: &BlockCsr, wt: &[f32], x: &[f32], y: &mut [f32]) {
+        sparse_shape(csr, wt, y, x);
+        by_block!(S, s, csr.block, forward_rows(csr, wt, x, y))
+    }
+
+    /// `R` batch rows per tile, then the rows left over one at a time.
+    #[inline(always)]
+    fn forward_rows<T: Simd, const V: usize, const R: usize>(
+        s: T,
+        csr: &BlockCsr,
+        wt: &[f32],
+        x: &[f32],
+        y: &mut [f32],
+    ) {
+        let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
+        let mut yr = y.chunks_exact_mut(R * out_dim);
+        let mut xr = x.chunks_exact(R * in_dim);
+        for (y, x) in yr.by_ref().zip(xr.by_ref()) {
+            forward_tile::<T, V, R>(s, csr, wt, x, y);
+        }
+        let rest = yr.into_remainder().chunks_exact_mut(out_dim).zip(xr.remainder().chunks(in_dim));
+        for (y, x) in rest {
+            forward_tile::<T, V, 1>(s, csr, wt, x, y);
+        }
+    }
+
+    /// `R` batch rows of the sparse forward, `b = V · LANES`: per stored
+    /// block, each payload column is loaded once for all `R` rows. Lane `i`
+    /// of row `r`'s accumulator sums `w[i][c] · x[r][c]` over ascending `c`
+    /// from zero and is then added to `y` — the scalar dot's order.
+    #[inline(always)]
+    fn forward_tile<T: Simd, const V: usize, const R: usize>(
+        s: T,
+        csr: &BlockCsr,
+        wt: &[f32],
+        x: &[f32],
+        y: &mut [f32],
+    ) {
+        let (l, b) = (T::LANES, V * T::LANES);
+        let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
+        for bi in 0..csr.row_ptr.len() - 1 {
+            for idx in csr.row_ptr[bi] as usize..csr.row_ptr[bi + 1] as usize {
+                let col = csr.block_col[idx] as usize * b;
+                let blk = &wt[idx * b * b..(idx + 1) * b * b];
+                let mut xs: [&[f32]; R] = [&[]; R];
+                for (r, xr) in xs.iter_mut().enumerate() {
+                    *xr = &x[r * in_dim + col..][..b];
+                }
+                let mut acc = [[s.zero(); V]; R];
+                for (c, wcol) in blk.chunks_exact(b).enumerate() {
+                    let mut wv = [s.zero(); V];
+                    for (v, w) in wv.iter_mut().enumerate() {
+                        *w = s.load(&wcol[v * l..]);
+                    }
+                    for (accr, xr) in acc.iter_mut().zip(&xs) {
+                        let xv = s.splat(xr[c]);
+                        for (a, w) in accr.iter_mut().zip(&wv) {
+                            *a = s.mul_add(*a, *w, xv);
+                        }
+                    }
+                }
+                for (r, accr) in acc.iter().enumerate() {
+                    let ys = &mut y[r * out_dim + bi * b..][..b];
+                    for (v, a) in accr.iter().enumerate() {
+                        let sum = s.add(s.load(&ys[v * l..]), *a);
+                        s.store(&mut ys[v * l..], sum);
+                    }
+                }
+            }
+        }
     }
 
     /// The SIMD body of [`super::lowrank_dots`]: [`MR`] rows of `a` by two
-    /// rows of `b` per tile, then one row of `a` by four rows of `b`.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn dots(a: &[f32], b: &[f32], k: usize, c: &mut [f32], add: bool) {
+    /// vectors of `b` rows per tile, then one row of `a` by four vectors.
+    #[inline(always)]
+    fn dots<S: DotSimd>(s: S, a: &[f32], b: &[f32], k: usize, c: &mut [f32], add: bool) {
         let (_, n) = dots_shape(a, b, k, c);
         let mut a4 = a.chunks_exact(MR * k);
         let mut c4 = c.chunks_exact_mut(MR * n);
         for (a, c) in a4.by_ref().zip(c4.by_ref()) {
-            dot_rows::<MR, 2>(a, b, k, c, add);
+            dot_rows::<S, MR, 2>(s, a, b, k, c, add);
         }
         for (a, c) in a4.remainder().chunks_exact(k).zip(c4.into_remainder().chunks_exact_mut(n)) {
-            dot_rows::<1, 4>(a, b, k, c, add);
+            dot_rows::<S, 1, 4>(s, a, b, k, c, add);
         }
     }
 
-    /// The `R` rows of `a` against every row of `b`: `C` rows of `b` per
-    /// tile, then the rows left over one at a time.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn dot_rows<const R: usize, const C: usize>(
+    /// The `R` rows of `a` against every row of `b`: `P · DOTS` rows of `b`
+    /// per tile, then `DOTS` rows at a time.
+    #[inline(always)]
+    fn dot_rows<S: DotSimd, const R: usize, const P: usize>(
+        s: S,
         a: &[f32],
         b: &[f32],
         k: usize,
@@ -892,81 +1240,89 @@ mod avx2 {
             *row = &a[r * k..(r + 1) * k];
         }
         let mut j0 = 0;
-        while j0 + C <= n {
-            let mut brows: [&[f32]; C] = [&[]; C];
-            for (q, row) in brows.iter_mut().enumerate() {
-                *row = &b[(j0 + q) * k..(j0 + q + 1) * k];
-            }
-            put(c, n, j0, &dot_tile(arows, brows), add);
-            j0 += C;
+        while j0 + P * S::DOTS <= n {
+            put(c, n, j0, P * S::DOTS, &dot_tile::<S, R, P>(s, arows, b, k, j0), add);
+            j0 += P * S::DOTS;
         }
         while j0 < n {
-            put(c, n, j0, &dot_tile::<R, 1>(arows, [&b[j0 * k..(j0 + 1) * k]]), add);
-            j0 += 1;
+            let cols = S::DOTS.min(n - j0);
+            put(c, n, j0, cols, &dot_tile::<S, R, 1>(s, arows, b, k, j0), add);
+            j0 += S::DOTS;
         }
     }
 
-    /// Writes (or adds) an `R × C` tile of dots at column `j0` of the
-    /// `n`-wide `c`.
+    /// Writes (or adds) the first `cols` columns of a tile of dots at
+    /// column `j0` of the `n`-wide `c`.
     #[inline(always)]
-    fn put<const R: usize, const C: usize>(
+    fn put<const R: usize>(
         c: &mut [f32],
         n: usize,
         j0: usize,
-        d: &[[f32; C]; R],
+        cols: usize,
+        d: &[[f32; 8]; R],
         add: bool,
     ) {
         for (r, dr) in d.iter().enumerate() {
-            for (o, v) in c[r * n + j0..][..C].iter_mut().zip(dr) {
+            for (o, v) in c[r * n + j0..][..cols].iter_mut().zip(dr) {
                 *o = if add { *o + v } else { *v };
             }
         }
     }
 
-    /// `dot_lanes(b[j], a[r])` for `R` rows of `a` and `C` rows of `b`, all
-    /// the same width: one accumulator per output, each chunk of a `b` row
-    /// loaded once for all `R` rows.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn dot_tile<const R: usize, const C: usize>(a: [&[f32]; R], b: [&[f32]; C]) -> [[f32; C]; R] {
-        let k = a[0].len();
-        let chunks = k / 8;
-        let body = 8 * chunks;
+    /// `dot_lanes(b[j0 + q], a[r])` for `R` rows of `a` and `q < P · DOTS`,
+    /// all of width `k`: one eight-lane group per dot, each group of `b`
+    /// rows loaded once for all `R` rows. A row index past the last row of
+    /// `b` reads the last row again; [`dot_rows`] drops those dots.
+    #[inline(always)]
+    fn dot_tile<S: DotSimd, const R: usize, const P: usize>(
+        s: S,
+        a: [&[f32]; R],
+        b: &[f32],
+        k: usize,
+        j0: usize,
+    ) -> [[f32; 8]; R] {
+        let n = b.len() / k;
+        let body = k / 8 * 8;
+        let brow = |q: usize| {
+            let j = (j0 + q).min(n - 1);
+            &b[j * k..(j + 1) * k]
+        };
         // Every row cut to the vector body, so that the compiler can drop
         // most of the loads' bounds checks.
         let mut a8: [&[f32]; R] = [&[]; R];
-        for (d, s) in a8.iter_mut().zip(&a) {
-            *d = &s[..body];
+        for (d, row) in a8.iter_mut().zip(&a) {
+            *d = &row[..body];
         }
-        let mut b8: [&[f32]; C] = [&[]; C];
-        for (d, s) in b8.iter_mut().zip(&b) {
-            *d = &s[..body];
+        let mut b8: [[&[f32]; 2]; P] = [[&[]; 2]; P];
+        for (p, rows) in b8.iter_mut().enumerate() {
+            for (g, row) in rows.iter_mut().enumerate().take(S::DOTS) {
+                *row = &brow(p * S::DOTS + g)[..body];
+            }
         }
-        let mut acc = [[_mm256_setzero_ps(); C]; R];
-        for q in 0..chunks {
+        let mut acc = [[s.zero(); P]; R];
+        for q in 0..k / 8 {
             let t = 8 * q;
-            let mut bv = [_mm256_setzero_ps(); C];
-            for (v, brow) in bv.iter_mut().zip(&b8) {
-                *v = load(&brow[t..t + 8]);
+            let mut bv = [s.zero(); P];
+            for (v, rows) in bv.iter_mut().zip(&b8) {
+                *v = s.load_groups(&rows[..S::DOTS], t);
             }
             for (accr, arow) in acc.iter_mut().zip(&a8) {
-                let av = load(&arow[t..t + 8]);
+                let av = s.dup_group(&arow[t..]);
                 for (x, bv) in accr.iter_mut().zip(&bv) {
-                    *x = mul_add(*x, *bv, av);
+                    *x = s.mul_add(*x, *bv, av);
                 }
             }
         }
-        let mut out = [[0.0f32; C]; R];
-        for (sums, group) in out.as_flattened_mut().chunks_mut(4).zip(acc.as_flattened().chunks(4))
-        {
-            let last = group.len() - 1;
-            let four = [group[0], group[1.min(last)], group[2.min(last)], group[3.min(last)]];
-            sums.copy_from_slice(&reduce4(four)[..group.len()]);
-        }
-        // The scalar tail of every dot, after the reduction.
-        for (outr, arow) in out.iter_mut().zip(&a) {
-            for (o, brow) in outr.iter_mut().zip(&b) {
-                for (bv, av) in brow[body..].iter().zip(&arow[body..]) {
+        let cols = P * S::DOTS;
+        // At most four rows of `a` by eight dots (`P · DOTS <= 8`).
+        let mut sums = [0.0f32; 32];
+        s.reduce_groups(acc.as_flattened(), &mut sums[..R * cols]);
+        let mut out = [[0.0f32; 8]; R];
+        for (r, (outr, arow)) in out.iter_mut().zip(&a).enumerate() {
+            for (q, o) in outr[..cols].iter_mut().enumerate() {
+                *o = sums[r * cols + q];
+                // The scalar tail of every dot, after the reduction.
+                for (bv, av) in brow(q)[body..].iter().zip(&arow[body..]) {
                     *o += bv * av;
                 }
             }
@@ -974,43 +1330,49 @@ mod avx2 {
         out
     }
 
-    /// The SIMD body of [`super::lowrank_axpy`]: [`MR`] rows of `c` by 16
-    /// columns per tile, then 8, then single columns; the rows left over
-    /// one at a time.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn axpy(a: &[f32], transposed: bool, b: &[f32], n: usize, c: &mut [f32]) {
+    /// The SIMD body of [`super::lowrank_axpy`]: [`MR`] rows of `c` per
+    /// tile, then the rows left over one at a time.
+    #[inline(always)]
+    fn axpy<S: Simd>(s: S, a: &[f32], transposed: bool, b: &[f32], n: usize, c: &mut [f32]) {
         let lhs = axpy_lhs(a, transposed, b, n, c);
         let brows = b.chunks_exact(n);
         let mut c4 = c.chunks_exact_mut(MR * n);
         let mut i0 = 0;
         for c in c4.by_ref() {
-            axpy_rows::<MR>(lhs, i0, &brows, n, c);
+            axpy_rows::<S, MR>(s, lhs, i0, &brows, n, c);
             i0 += MR;
         }
         for c in c4.into_remainder().chunks_exact_mut(n) {
-            axpy_rows::<1>(lhs, i0, &brows, n, c);
+            axpy_rows::<S, 1>(s, lhs, i0, &brows, n, c);
             i0 += 1;
         }
     }
 
-    /// Rows `i0..i0 + R` of `C += op(A)·B`, held in `c`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn axpy_rows<const R: usize>(
+    /// Rows `i0..i0 + R` of `C += op(A)·B`, held in `c`: two vectors of
+    /// columns per tile, then one, then one of half the width, then single
+    /// columns.
+    #[inline(always)]
+    fn axpy_rows<S: Simd, const R: usize>(
+        s: S,
         lhs: Lhs<'_>,
         i0: usize,
         brows: &ChunksExact<'_, f32>,
         n: usize,
         c: &mut [f32],
     ) {
+        let (l, h) = (S::LANES, <S::Half as Simd>::LANES);
         let mut j0 = 0;
-        while j0 + 16 <= n {
-            axpy_tile::<R, 2>(lhs, i0, brows.clone(), n, j0, c);
-            j0 += 16;
+        while j0 + 2 * l <= n {
+            axpy_tile::<S, R, 2>(s, lhs, i0, brows.clone(), n, j0, c);
+            j0 += 2 * l;
         }
-        if j0 + 8 <= n {
-            axpy_tile::<R, 1>(lhs, i0, brows.clone(), n, j0, c);
-            j0 += 8;
+        if j0 + l <= n {
+            axpy_tile::<S, R, 1>(s, lhs, i0, brows.clone(), n, j0, c);
+            j0 += l;
+        }
+        if h < l && j0 + h <= n {
+            axpy_tile::<S::Half, R, 1>(s.half(), lhs, i0, brows.clone(), n, j0, c);
+            j0 += h;
         }
         for j in j0..n {
             for r in 0..R {
@@ -1021,12 +1383,12 @@ mod avx2 {
         }
     }
 
-    /// `R` rows by `8·V` columns of `C += op(A)·B` from column `j0`: the
-    /// tile is loaded once, every `kk` adds into it in ascending order, and
-    /// it is stored once.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn axpy_tile<const R: usize, const V: usize>(
+    /// `R` rows by `V` vectors of columns of `C += op(A)·B` from column
+    /// `j0`: the tile is loaded once, every `kk` adds into it in ascending
+    /// order, and it is stored once.
+    #[inline(always)]
+    fn axpy_tile<T: Simd, const R: usize, const V: usize>(
+        s: T,
         lhs: Lhs<'_>,
         i0: usize,
         brows: ChunksExact<'_, f32>,
@@ -1034,150 +1396,159 @@ mod avx2 {
         j0: usize,
         c: &mut [f32],
     ) {
-        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        let l = T::LANES;
+        let mut acc = [[s.zero(); V]; R];
         for (r, accr) in acc.iter_mut().enumerate() {
             for (v, x) in accr.iter_mut().enumerate() {
-                *x = load(&c[r * n + j0 + 8 * v..]);
+                *x = s.load(&c[r * n + j0 + l * v..]);
             }
         }
         for (kk, brow) in brows.enumerate() {
-            let brow = &brow[j0..j0 + 8 * V];
+            let brow = &brow[j0..j0 + l * V];
+            let mut bv = [s.zero(); V];
+            for (v, x) in bv.iter_mut().enumerate() {
+                *x = s.load(&brow[l * v..]);
+            }
             for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(lhs.at(i0 + r, kk));
-                for (v, x) in accr.iter_mut().enumerate() {
-                    *x = mul_add(*x, av, load(&brow[8 * v..]));
+                let av = s.splat(lhs.at(i0 + r, kk));
+                for (x, bv) in accr.iter_mut().zip(&bv) {
+                    *x = s.mul_add(*x, av, *bv);
                 }
             }
         }
         for (r, accr) in acc.iter().enumerate() {
             for (v, x) in accr.iter().enumerate() {
-                store(&mut c[r * n + j0 + 8 * v..], *x);
+                s.store(&mut c[r * n + j0 + l * v..], *x);
             }
         }
     }
 
-    /// The SIMD body of [`super::sparse_dx`] for block sizes 8, 16 and 32.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn sparse_dx(csr: &BlockCsr, w: &[f32], gblock: &[f32], gxblock: &mut [f32]) {
-        match csr.block {
-            8 => sparse_dx_v::<1>(csr, w, gblock, gxblock),
-            16 => sparse_dx_v::<2>(csr, w, gblock, gxblock),
-            32 => sparse_dx_v::<4>(csr, w, gblock, gxblock),
-            b => panic!("no eight-lane sparse dX body for block size {b}"),
-        }
+    /// The SIMD body of [`super::sparse_dx`].
+    #[inline(always)]
+    fn sparse_dx<S: Simd>(s: S, csr: &BlockCsr, w: &[f32], g: &[f32], gx: &mut [f32]) {
+        sparse_shape(csr, w, g, gx);
+        by_block!(S, s, csr.block, dx_rows(csr, w, g, gx))
     }
 
-    /// Two batch rows per tile, then the row left over.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn sparse_dx_v<const V: usize>(csr: &BlockCsr, w: &[f32], gblock: &[f32], gxblock: &mut [f32]) {
-        let (out_dim, in_dim) = sparse_shape(csr, w, gblock, gxblock);
-        let mut gx2 = gxblock.chunks_exact_mut(2 * in_dim);
-        let mut g2 = gblock.chunks_exact(2 * out_dim);
-        for (gx, g) in gx2.by_ref().zip(g2.by_ref()) {
-            sparse_dx_rows::<2, V>(csr, w, g, gx);
-        }
-        let rest =
-            gx2.into_remainder().chunks_exact_mut(in_dim).zip(g2.remainder().chunks(out_dim));
-        for (gx, g) in rest {
-            sparse_dx_rows::<1, V>(csr, w, g, gx);
-        }
-    }
-
-    /// `R` batch rows of the sparse dX, `b = 8·V`: per stored block the
-    /// `R × b` slice of dX is loaded once, each payload row once for all
-    /// `R` rows, in the scalar body's block and row order.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn sparse_dx_rows<const R: usize, const V: usize>(
+    /// `R` batch rows per tile, then the rows left over one at a time.
+    #[inline(always)]
+    fn dx_rows<T: Simd, const V: usize, const R: usize>(
+        s: T,
         csr: &BlockCsr,
         w: &[f32],
         g: &[f32],
         gx: &mut [f32],
     ) {
-        let b = 8 * V;
+        let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
+        let mut gxr = gx.chunks_exact_mut(R * in_dim);
+        let mut gr = g.chunks_exact(R * out_dim);
+        for (gx, g) in gxr.by_ref().zip(gr.by_ref()) {
+            dx_tile::<T, V, R>(s, csr, w, g, gx);
+        }
+        let rest =
+            gxr.into_remainder().chunks_exact_mut(in_dim).zip(gr.remainder().chunks(out_dim));
+        for (gx, g) in rest {
+            dx_tile::<T, V, 1>(s, csr, w, g, gx);
+        }
+    }
+
+    /// `R` batch rows of the sparse dX, `b = V · LANES`: per stored block
+    /// the `R × b` slice of dX is loaded once, each payload row once for
+    /// all `R` rows, in the scalar body's block and row order.
+    #[inline(always)]
+    fn dx_tile<T: Simd, const V: usize, const R: usize>(
+        s: T,
+        csr: &BlockCsr,
+        w: &[f32],
+        g: &[f32],
+        gx: &mut [f32],
+    ) {
+        let (l, b) = (T::LANES, V * T::LANES);
         let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
         for bi in 0..csr.row_ptr.len() - 1 {
-            let gys: [&[f32]; R] = from_fn(|r| &g[r * out_dim + bi * b..][..b]);
+            let mut gys: [&[f32]; R] = [&[]; R];
+            for (r, gy) in gys.iter_mut().enumerate() {
+                *gy = &g[r * out_dim + bi * b..][..b];
+            }
             for idx in csr.row_ptr[bi] as usize..csr.row_ptr[bi + 1] as usize {
                 let col = csr.block_col[idx] as usize * b;
                 let blk = &w[idx * b * b..(idx + 1) * b * b];
-                let mut acc = [[_mm256_setzero_ps(); V]; R];
+                let mut acc = [[s.zero(); V]; R];
                 for (r, accr) in acc.iter_mut().enumerate() {
                     for (v, x) in accr.iter_mut().enumerate() {
-                        *x = load(&gx[r * in_dim + col + 8 * v..]);
+                        *x = s.load(&gx[r * in_dim + col + l * v..]);
                     }
                 }
                 for (row, wrow) in blk.chunks_exact(b).enumerate() {
-                    let mut wv = [_mm256_setzero_ps(); V];
+                    let mut wv = [s.zero(); V];
                     for (v, x) in wv.iter_mut().enumerate() {
-                        *x = load(&wrow[8 * v..]);
+                        *x = s.load(&wrow[l * v..]);
                     }
                     for (accr, gy) in acc.iter_mut().zip(&gys) {
-                        let (gv, keep, skip) = splat_nonzero(gy[row]);
+                        let (gv, keep) = s.splat_nonzero(gy[row]);
                         for (x, wv) in accr.iter_mut().zip(&wv) {
-                            *x = mul_add_kept(*x, gv, *wv, keep, skip);
+                            *x = s.add_kept(*x, s.mul(gv, *wv), keep);
                         }
                     }
                 }
                 for (r, accr) in acc.iter().enumerate() {
                     for (v, x) in accr.iter().enumerate() {
-                        store(&mut gx[r * in_dim + col + 8 * v..], *x);
+                        s.store(&mut gx[r * in_dim + col + l * v..], *x);
                     }
                 }
             }
         }
     }
 
-    /// The SIMD body of [`super::payload_grad`] for block sizes 8, 16 and
-    /// 32.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn payload_grad(csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]) {
-        match csr.block {
-            8 => payload_grad_v::<1>(csr, x, gy, gp),
-            16 => payload_grad_v::<2>(csr, x, gy, gp),
-            32 => payload_grad_v::<4>(csr, x, gy, gp),
-            b => panic!("no eight-lane payload-gradient body for block size {b}"),
-        }
+    /// The SIMD body of [`super::payload_grad`].
+    #[inline(always)]
+    fn payload_grad<S: Simd>(s: S, csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]) {
+        sparse_shape(csr, gp, gy, x);
+        by_block!(S, s, csr.block, payload_tiles(csr, x, gy, gp))
     }
 
-    /// Two payload rows per tile, `b = 8·V`: the `2 × b` tile is loaded
-    /// once, each sample's input slice once for both rows, samples in
-    /// ascending order.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn payload_grad_v<const V: usize>(csr: &BlockCsr, x: &[f32], gy: &[f32], gp: &mut [f32]) {
-        let (out_dim, in_dim) = sparse_shape(csr, gp, gy, x);
-        let b = 8 * V;
+    /// `P` payload rows per tile, `b = V · LANES`: the `P × b` tile is
+    /// loaded once, each sample's input slice once for all `P` rows,
+    /// samples in ascending order.
+    #[inline(always)]
+    fn payload_tiles<T: Simd, const V: usize, const P: usize>(
+        s: T,
+        csr: &BlockCsr,
+        x: &[f32],
+        gy: &[f32],
+        gp: &mut [f32],
+    ) {
+        let (l, b) = (T::LANES, V * T::LANES);
+        let (out_dim, in_dim) = (csr.out_dim(), csr.in_dim());
         let batch = gy.len() / out_dim;
         for (idx, gblk) in gp.chunks_exact_mut(b * b).enumerate() {
             let row0 = csr.block_row[idx] as usize * b;
             let col = csr.block_col[idx] as usize * b;
-            for (pair, gpair) in gblk.chunks_exact_mut(2 * b).enumerate() {
-                let row = row0 + 2 * pair;
-                let mut acc = [[_mm256_setzero_ps(); V]; 2];
-                for (accq, gprow) in acc.iter_mut().zip(gpair.chunks_exact(b)) {
-                    for (v, a) in accq.iter_mut().enumerate() {
-                        *a = load(&gprow[8 * v..]);
+            for (tile, gtile) in gblk.chunks_exact_mut(P * b).enumerate() {
+                let row = row0 + P * tile;
+                let mut acc = [[s.zero(); V]; P];
+                for (p, accp) in acc.iter_mut().enumerate() {
+                    for (v, a) in accp.iter_mut().enumerate() {
+                        *a = s.load(&gtile[p * b + l * v..]);
                     }
                 }
-                for s in 0..batch {
-                    let xs = &x[s * in_dim + col..][..b];
-                    let gs = &gy[s * out_dim + row..][..2];
-                    let mut xv = [_mm256_setzero_ps(); V];
+                for smp in 0..batch {
+                    let xs = &x[smp * in_dim + col..][..b];
+                    let gs = &gy[smp * out_dim + row..][..P];
+                    let mut xv = [s.zero(); V];
                     for (v, a) in xv.iter_mut().enumerate() {
-                        *a = load(&xs[8 * v..]);
+                        *a = s.load(&xs[l * v..]);
                     }
-                    for (accq, g) in acc.iter_mut().zip(gs) {
-                        let (gv, keep, skip) = splat_nonzero(*g);
-                        for (a, xv) in accq.iter_mut().zip(&xv) {
-                            *a = mul_add_kept(*a, gv, *xv, keep, skip);
+                    for (accp, g) in acc.iter_mut().zip(gs) {
+                        let (gv, keep) = s.splat_nonzero(*g);
+                        for (a, xv) in accp.iter_mut().zip(&xv) {
+                            *a = s.add_kept(*a, s.mul(gv, *xv), keep);
                         }
                     }
                 }
-                for (accq, gprow) in acc.iter().zip(gpair.chunks_exact_mut(b)) {
-                    for (v, a) in accq.iter().enumerate() {
-                        store(&mut gprow[8 * v..], *a);
+                for (p, accp) in acc.iter().enumerate() {
+                    for (v, a) in accp.iter().enumerate() {
+                        s.store(&mut gtile[p * b + l * v..], *a);
                     }
                 }
             }
@@ -1382,22 +1753,39 @@ mod tests {
         assert_eq!(gp.as_slice(), gp_ref.as_slice());
     }
 
-    /// Every kernel with a SIMD body: the scalar body and the SIMD body, on
-    /// the same inputs, must produce the same bits. The shapes cover the
-    /// tile tails (rows not a multiple of four, columns and inner widths
-    /// not a multiple of eight or sixteen); the zero-skip inputs include
-    /// `±0.0` gradients, a NaN gradient, an infinite operand behind a zero
-    /// gradient and `-0.0` accumulators.
+    /// Every kernel with a SIMD body, at every vector width the host has:
+    /// the scalar body and the SIMD body, on the same inputs, must produce
+    /// the same bits (every NaN counts as one value: Rust leaves NaN
+    /// payloads unspecified). The low-rank shapes take ranks 1–20 and 128
+    /// and widths off the multiples of 8, 16 and 32; the sparse shapes take
+    /// blocks 4, 8, 16 and 32 at batches that leave every tile remainder;
+    /// the inputs hold about half `±0.0`, and NaN and `±inf` gradients, an
+    /// infinite operand behind a zero gradient and `-0.0` accumulators. The
+    /// widths compared and skipped are written to stderr past the test
+    /// harness's capture, so a host without AVX-512 shows the skip.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn every_isa_body_is_bit_identical() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
+        use simd::{F32x16, F32x8, Isa};
+        use std::io::Write;
+        let isas = [
+            ("avx2", F32x8::detect().map(Isa::Avx2)),
+            ("avx512f", F32x16::detect().map(Isa::Avx512)),
+        ];
+        let names = |have: bool| -> Vec<&str> {
+            isas.iter().filter(|(_, isa)| isa.is_some() == have).map(|(name, _)| *name).collect()
+        };
+        let _ = writeln!(
+            std::io::stderr(),
+            "every_isa_body_is_bit_identical: scalar bodies compared with {:?}; skipped {:?}, \
+             not on this CPU",
+            names(true),
+            names(false)
+        );
         fn bits(v: &[f32]) -> Vec<u32> {
-            v.iter().map(|x| x.to_bits()).collect()
+            v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
         }
-        /// Values in `[-1, 1]` with exact `+0.0` and `-0.0` mixed in.
+        /// About half exact `+0.0` and `-0.0`, the rest in `[-1, 1]`.
         fn signed_zeros(len: usize, rng: &mut impl Rng) -> Vec<f32> {
             (0..len)
                 .map(|_| match rng.gen_range(0u32..8) {
@@ -1407,6 +1795,16 @@ mod tests {
                 })
                 .collect()
         }
+        /// A NaN, a `+inf` and a `-inf` at spread positions of `v`.
+        fn plant_nonfinite(v: &mut [f32]) {
+            let n = v.len();
+            let last = n.saturating_sub(1);
+            for (at, x) in [(1, f32::NAN), (n / 2, f32::INFINITY), (last, f32::NEG_INFINITY)] {
+                if at < n {
+                    v[at] = x;
+                }
+            }
+        }
         type Body<'a> = &'a dyn Fn(&mut [f32]);
         let check = |what: &str, start: &[f32], scalar: Body<'_>, simd: Body<'_>| {
             let (mut want, mut got) = (start.to_vec(), start.to_vec());
@@ -1415,58 +1813,93 @@ mod tests {
             assert_eq!(bits(&got), bits(&want), "{what}");
         };
         let mut rng = seeded_rng(29);
-        for &(m, n, k) in
-            &[(1, 1, 1), (3, 5, 7), (4, 2, 8), (5, 17, 13), (9, 33, 64), (32, 20, 130)]
-        {
-            let mut vals = |len: usize| signed_zeros(len, &mut rng);
-            let (a, b, start) = (vals(m * k), vals(n * k), vals(m * n));
-            for add in [false, true] {
+        for (name, isa) in isas.iter().filter_map(|(name, isa)| Some((name, (*isa)?))) {
+            for (i, rank) in (1..=20).chain([128]).enumerate() {
+                let batch = [0, 1, 2, 3, 4, 5, 6, 7, 9, 33, 70][i % 11];
+                let (in_dim, out_dim) = ([24, 40, 57, 71][i % 4], [40, 9, 64, 17][i % 4]);
+                for nonfinite in [false, true] {
+                    let at = format!("{name} rank {rank} batch {batch} nonfinite {nonfinite}");
+                    let mut vals = |len: usize| signed_zeros(len, &mut rng);
+                    let (x, u, v) =
+                        (vals(batch * in_dim), vals(out_dim * rank), vals(rank * in_dim));
+                    let (vx, mut gy, dvx) =
+                        (vals(batch * rank), vals(batch * out_dim), vals(batch * rank));
+                    if nonfinite {
+                        plant_nonfinite(&mut gy);
+                    }
+                    let y = vals(batch * out_dim);
+                    for (what, a, b, k, start, add) in [
+                        ("Vx = X Vᵀ", &x, &v, in_dim, &vx, false),
+                        ("Y += Vx Uᵀ", &vx, &u, rank, &y, true),
+                    ] {
+                        check(
+                            &format!("dots {what} {at}"),
+                            start,
+                            &|c| dots_scalar(a, b, k, c, add),
+                            &|c| isa.dots(a, b, k, c, add),
+                        );
+                    }
+                    let (gx, gu, gv) =
+                        (vals(batch * in_dim), vals(out_dim * rank), vals(rank * in_dim));
+                    for (what, a, transposed, b, n, start) in [
+                        ("dVx = dY U", &gy, false, &u, rank, &dvx),
+                        ("dX += dVx V", &dvx, false, &v, in_dim, &gx),
+                        ("dU += dYᵀ Vx", &gy, true, &vx, rank, &gu),
+                        ("dV += dVxᵀ X", &dvx, true, &x, in_dim, &gv),
+                    ] {
+                        check(
+                            &format!("axpy {what} {at}"),
+                            start,
+                            &|c| axpy_scalar(a, transposed, b, n, c),
+                            &|c| isa.axpy(a, transposed, b, n, c),
+                        );
+                    }
+                }
+            }
+            let batches = (0..=9).chain([15, 16, 17, 31, 32, 33, 50, 63, 64, 65, 70]);
+            for (block, batch) in
+                [4usize, 8, 16, 32].into_iter().flat_map(|b| batches.clone().map(move |n| (b, n)))
+            {
+                let w = sample(block, 2, 3, 0.5, 60 + block as u64);
+                let csr = w.csr();
+                let (out_dim, in_dim) = w.shape();
+                let mut payload = w.data().to_vec();
+                // Row 0 of the first stored block: the zero gradient there
+                // must skip it.
+                payload[3] = f32::INFINITY;
+                let mut colmajor = vec![0.0; payload.len()];
+                repack_blocks_colmajor(block, &payload, &mut colmajor);
+                let mut x = signed_zeros(batch * in_dim, &mut rng);
+                let mut gy = signed_zeros(batch * out_dim, &mut rng);
+                if batch > 0 {
+                    x[0] = f32::INFINITY;
+                    gy[0] = -0.0;
+                    plant_nonfinite(&mut gy);
+                }
+                let at = format!("{name} block {block} batch {batch}");
                 check(
-                    &format!("dots {m}x{n}x{k} add={add}"),
-                    &start,
-                    &|c| dots_scalar(&a, &b, k, c, add),
-                    // SAFETY: the check at the top guarantees avx2.
-                    &|c| unsafe { avx2::dots(&a, &b, k, c, add) },
+                    &format!("sparse forward {at}"),
+                    &signed_zeros(batch * out_dim, &mut rng),
+                    &|y| {
+                        for (yrow, xrow) in y.chunks_mut(out_dim).zip(x.chunks(in_dim)) {
+                            sparse_row_generic(&csr, &payload, xrow, yrow);
+                        }
+                    },
+                    &|y| isa.sparse_forward(&csr, &colmajor, &x, y),
+                );
+                check(
+                    &format!("sparse dX {at}"),
+                    &signed_zeros(batch * in_dim, &mut rng),
+                    &|gx| sparse_dx_scalar(&csr, &payload, &gy, gx),
+                    &|gx| isa.sparse_dx(&csr, &payload, &gy, gx),
+                );
+                check(
+                    &format!("payload grad {at}"),
+                    &signed_zeros(payload.len(), &mut rng),
+                    &|gp| payload_grad_scalar(&csr, &x, &gy, gp),
+                    &|gp| isa.payload_grad(&csr, &x, &gy, gp),
                 );
             }
-            let b = vals(k * n);
-            for transposed in [false, true] {
-                check(
-                    &format!("axpy {m}x{n}x{k} transposed={transposed}"),
-                    &start,
-                    &|c| axpy_scalar(&a, transposed, &b, n, c),
-                    // SAFETY: the check at the top guarantees avx2.
-                    &|c| unsafe { avx2::axpy(&a, transposed, &b, n, c) },
-                );
-            }
-        }
-        for (block, rows) in [(8usize, 1usize), (8, 6), (16, 3), (32, 5), (32, 2)] {
-            let w = sample(block, 3, 4, 0.5, 60 + block as u64);
-            let csr = w.csr();
-            let (out_dim, in_dim) = w.shape();
-            let mut payload = w.data().to_vec();
-            payload[3] = f32::INFINITY;
-            let mut x = signed_zeros(rows * in_dim, &mut rng);
-            x[0] = f32::INFINITY;
-            let mut gy = signed_zeros(rows * out_dim, &mut rng);
-            gy[1] = f32::NAN;
-            // The infinite payload entry sits in row 0 of the first stored
-            // block: the zero gradient there must skip it.
-            gy[0] = -0.0;
-            check(
-                &format!("sparse dX block {block} rows {rows}"),
-                &signed_zeros(rows * in_dim, &mut rng),
-                &|gx| sparse_dx_scalar(&csr, &payload, &gy, gx),
-                // SAFETY: the check at the top guarantees avx2.
-                &|gx| unsafe { avx2::sparse_dx(&csr, &payload, &gy, gx) },
-            );
-            check(
-                &format!("payload grad block {block} rows {rows}"),
-                &signed_zeros(payload.len(), &mut rng),
-                &|gp| payload_grad_scalar(&csr, &x, &gy, gp),
-                // SAFETY: the check at the top guarantees avx2.
-                &|gp| unsafe { avx2::payload_grad(&csr, &x, &gy, gp) },
-            );
         }
     }
 

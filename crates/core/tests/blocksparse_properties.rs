@@ -1,10 +1,12 @@
 //! Bit-exactness invariants of the fused block-sparse kernels: whatever the
-//! block size (every lane specialization and the generic fallback), sparsity
-//! pattern and (ragged) batch, the fused forward must reproduce the naive
-//! matmul-per-block reference **bit for bit**, the training variant must be
-//! bit-identical to the inference variant, and with a low-rank term the
-//! forward and backward must reproduce the per-row loops in [`per_row`] bit
-//! for bit.
+//! block size (every block size with SIMD tiles and the generic fallback),
+//! sparsity pattern and (ragged) batch, the fused forward must reproduce the
+//! naive matmul-per-block reference **bit for bit**, the training variant
+//! must be bit-identical to the inference variant, and with a low-rank term
+//! the forward and backward must reproduce the per-row loops in [`per_row`]
+//! bit for bit. The kernels run the widest SIMD tiles the host has (sixteen
+//! lanes on AVX-512, with the multi-row sparse forward tile from batch 8);
+//! batches 0–70 leave every tile and row-block remainder.
 
 use bfly_core::{
     fused_block_backward, fused_block_forward, fused_block_forward_train, BlockGrads,
@@ -115,19 +117,28 @@ mod per_row {
     }
 }
 
+/// The bits of every value, every NaN as one value: Rust leaves NaN
+/// payloads unspecified.
 fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
+    v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
 }
 
 /// A ReLU-masked upstream gradient: about half the entries exact `+0.0`,
-/// some `-0.0`, the rest uniform in `[-1, 1]`.
-fn masked_grad(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
+/// some `-0.0`, the rest uniform in `[-1, 1]`; with `nonfinite`, one NaN,
+/// one `+inf` and one `-inf` in place of three entries.
+fn masked_grad(rows: usize, cols: usize, nonfinite: bool, rng: &mut impl Rng) -> Matrix {
     let mut g = Matrix::random_uniform(rows, cols, 1.0, rng);
     for v in g.as_mut_slice() {
         match rng.gen_range(0u32..10) {
             0..=4 => *v = 0.0,
             5 => *v = -0.0,
             _ => {}
+        }
+    }
+    let len = g.as_slice().len();
+    if nonfinite && len > 0 {
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            g.as_mut_slice()[rng.gen_range(0..len)] = x;
         }
     }
     g
@@ -141,6 +152,7 @@ fn check_lowrank_bit_identity(
     grid_c: usize,
     rank: usize,
     batch: usize,
+    nonfinite: bool,
     seed: u64,
 ) -> Result<(), String> {
     let (out_dim, in_dim) = (grid_r * block, grid_c * block);
@@ -151,9 +163,11 @@ fn check_lowrank_bit_identity(
     let v: Vec<f32> = (0..rank * in_dim).map(|_| rng.gen_range(-0.5..=0.5f32)).collect();
     let bias: Vec<f32> = (0..out_dim).map(|_| rng.gen_range(-0.5..=0.5f32)).collect();
     let x = Matrix::random_uniform(batch, in_dim, 1.0, &mut rng);
-    let g = masked_grad(batch, out_dim, &mut rng);
+    let g = masked_grad(batch, out_dim, nonfinite, &mut rng);
     let lr = LowRankRef { u: &u, v: &v, rank };
-    let at = format!("block {block}, {out_dim}x{in_dim}, rank {rank}, batch {batch}");
+    let at = format!(
+        "block {block}, {out_dim}x{in_dim}, rank {rank}, batch {batch}, nonfinite {nonfinite}"
+    );
     let mut scratch = Scratch::new();
 
     let (y, vx) =
@@ -241,10 +255,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// With a low-rank term, `Y`, `Vx`, `dX`, the payload gradient, `dU` and
-    /// `dV` match the per-row loops bit for bit: every lane-specialized
-    /// block size and a generic one, ranks on both sides of the eight-lane
-    /// chunks, batches with partial four-row tiles and a partial 32-row
-    /// block, and an upstream gradient with exact `±0.0` entries.
+    /// `dV` match the per-row loops bit for bit: every block size with SIMD
+    /// tiles and a generic one, ranks on both sides of the eight- and
+    /// sixteen-lane chunks, batches with partial tiles and a partial 32-row
+    /// block, and an upstream gradient with exact `±0.0` entries, and NaN
+    /// and `±inf` ones in half the cases.
     #[test]
     fn lowrank_forward_and_backward_bit_identical_to_per_row(
         bsel in 0usize..5,       // 4, 8, 16, 32, and the generic 6
@@ -252,11 +267,13 @@ proptest! {
         grid_c in 1usize..4,
         rsel in 0usize..21,      // rank 1..=20, or 128 at 0
         batch in 0usize..71,
+        nonfinite in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
         let block = [4usize, 8, 16, 32, 6][bsel];
         let rank = if rsel == 0 { 128 } else { rsel };
-        let r = check_lowrank_bit_identity(block, grid_r, grid_c, rank, batch, seed);
+        let r =
+            check_lowrank_bit_identity(block, grid_r, grid_c, rank, batch, nonfinite == 1, seed);
         prop_assert!(r.is_ok(), "{}", r.err().unwrap_or_default());
     }
 }
@@ -264,7 +281,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every lane-specialized block size: fused ≡ naive bit for bit across
+    /// Every block size with SIMD tiles: fused ≡ naive bit for bit across
     /// random patterns (including empty block rows) and ragged batches.
     #[test]
     fn specialized_kernels_bit_identical_to_naive(
@@ -273,7 +290,7 @@ proptest! {
         grid_c in 1usize..6,
         keep_pct in 0u64..100,
         diag in 0u64..2,
-        batch in 0usize..70,
+        batch in 0usize..71,
         seed in 0u64..1_000_000,
     ) {
         let block = 4usize << bexp;
@@ -330,8 +347,10 @@ proptest! {
 
     /// The fused backward with `lowrank: None` (the rank-0 training path)
     /// must reproduce the naive `backward_batch` reference — payload
-    /// gradient and dX alike — bit for bit. Regression test: a zero-length
-    /// dVx scratch must not truncate the row sweep and zero out dX.
+    /// gradient and dX alike — bit for bit, under a ReLU-masked gradient
+    /// (in half the cases with NaN and `±inf` gradients and an infinite
+    /// input and payload entry). Regression test: a zero-length dVx
+    /// scratch must not truncate the row sweep and zero out dX.
     #[test]
     fn rank0_backward_bit_identical_to_naive(
         bexp in 0usize..4,       // 4, 8, 16, 32
@@ -339,16 +358,26 @@ proptest! {
         grid_c in 1usize..5,
         keep_pct in 0u64..100,
         diag in 0u64..2,
-        batch in 1usize..50,
+        batch in 1usize..71,
+        nonfinite in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
         let block = 4usize << bexp;
         let coords = pattern(grid_r, grid_c, keep_pct, diag == 1, seed);
         let mut rng = seeded_rng(seed ^ 0xbac);
-        let w =
+        let mut w =
             BlockSparseMatrix::random(grid_r * block, grid_c * block, block, coords, &mut rng);
-        let x = Matrix::random_uniform(batch, grid_c * block, 1.0, &mut rng);
-        let g = Matrix::random_uniform(batch, grid_r * block, 1.0, &mut rng);
+        let mut x = Matrix::random_uniform(batch, grid_c * block, 1.0, &mut rng);
+        let g = masked_grad(batch, grid_r * block, nonfinite == 1, &mut rng);
+        if nonfinite == 1 {
+            // Infinite operands, mostly behind zero gradients: a product the
+            // zero-skip failed to skip would read NaN.
+            let (xs, ws) = (x.as_mut_slice(), w.data_mut());
+            xs[rng.gen_range(0..xs.len())] = f32::INFINITY;
+            if !ws.is_empty() {
+                ws[rng.gen_range(0..ws.len())] = f32::INFINITY;
+            }
+        }
         let mut scratch = Scratch::new();
         let mut gp = vec![0.0f32; w.data().len()];
         let gx = fused_block_backward(
@@ -363,7 +392,7 @@ proptest! {
         );
         let mut gp_ref = vec![0.0f32; w.data().len()];
         let gx_ref = w.backward_batch(&x, &g, &mut gp_ref);
-        prop_assert_eq!(gx.as_slice(), gx_ref.as_slice());
-        prop_assert_eq!(gp.as_slice(), gp_ref.as_slice());
+        prop_assert_eq!(bits(gx.as_slice()), bits(gx_ref.as_slice()));
+        prop_assert_eq!(bits(&gp), bits(&gp_ref));
     }
 }

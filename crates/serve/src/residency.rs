@@ -103,11 +103,6 @@ impl Default for ResidencyConfig {
 }
 
 impl ResidencyConfig {
-    /// The explicit no-limit configuration (identical to `default()`).
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
     /// An LRU cache of `bytes` per replica over the M2000 streaming link.
     pub fn with_budget(bytes: u64) -> Self {
         Self { sram_budget_bytes: Some(bytes), ..Self::default() }

@@ -307,10 +307,11 @@ proptest! {
         prop_assert_eq!(snapshot.replicas.iter().map(|r| r.batches).sum::<u64>(), 0);
     }
 
-    /// The default (unset) residency budget *is* the pre-residency runtime:
-    /// identical outputs to a server with an explicit unlimited config,
-    /// replica 0 fully pre-warmed at no cost, and not a single eviction or
-    /// streamed byte anywhere in the pod.
+    /// The default (unset) residency budget *is* the pre-residency runtime,
+    /// and so is a budget a thousand times the model's weight bytes: the two
+    /// servers answer with identical outputs, each reports its own budget,
+    /// replica 0 starts fully warm at no cost, and neither makes a single
+    /// eviction or streams a single byte anywhere in the pod.
     #[test]
     fn unset_residency_budget_reproduces_the_pre_residency_runtime(
         replicas in 1usize..5,
@@ -322,28 +323,30 @@ proptest! {
             chaos_config(replicas, routing, false, FaultPlan::none()),
             &[Method::Butterfly],
         ).unwrap();
-        let explicit_config = ServeConfig {
-            residency: ResidencyConfig::unlimited(),
+        let probe = ModelRegistry::build(DIM, 10, 23, &[Method::Butterfly]).expect("probe registry");
+        let budget = 1000 * probe.entries()[0].weight_bytes();
+        let budgeted_config = ServeConfig {
+            residency: ResidencyConfig::with_budget(budget),
             ..chaos_config(replicas, routing, false, FaultPlan::none())
         };
-        let explicit = Server::start(explicit_config, &[Method::Butterfly]).unwrap();
+        let budgeted = Server::start(budgeted_config, &[Method::Butterfly]).unwrap();
         for s in 0..per_client {
             let a = unset
                 .submit("butterfly", 0, s, unique_input(0, s))
                 .unwrap()
                 .wait()
                 .expect("answered");
-            let b = explicit
+            let b = budgeted
                 .submit("butterfly", 0, s, unique_input(0, s))
                 .unwrap()
                 .wait()
                 .expect("answered");
             prop_assert_eq!(a.timing.source, ServedFrom::Compute);
             prop_assert_eq!(b.timing.source, ServedFrom::Compute);
-            prop_assert_eq!(a.output, b.output, "residency defaults must not perturb outputs");
+            prop_assert_eq!(a.output, b.output, "an ample budget must not perturb outputs");
         }
-        for snapshot in [unset.shutdown(), explicit.shutdown()] {
-            prop_assert!(snapshot.residency.sram_budget_bytes.is_none());
+        for (snapshot, want_budget) in [(unset.shutdown(), None), (budgeted.shutdown(), Some(budget))] {
+            prop_assert_eq!(snapshot.residency.sram_budget_bytes, want_budget);
             prop_assert_eq!(snapshot.residency.evictions, 0);
             prop_assert_eq!(snapshot.residency.paged_in_bytes, 0);
             prop_assert_eq!(snapshot.residency.paging_us, 0.0);

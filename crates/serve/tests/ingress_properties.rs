@@ -8,11 +8,12 @@
 //! or not the ingress config is enabled.
 
 use bfly_core::Method;
+use bfly_serve::ingress::codec::{crc32, BODY_FIXED_LEN, MAGIC, VERSION};
 use bfly_serve::ingress::qos::{Dequeued, EnqueueOutcome, Job, QosQueue};
 use bfly_serve::ingress::transport::pipe_listener;
 use bfly_serve::ingress::{
-    encode_request, Frame, FrameDecoder, IngressClient, IngressServer, QosClass, RequestFrame,
-    WireStatus,
+    encode_request, Frame, FrameDecoder, FrameError, IngressClient, IngressServer, QosClass,
+    RequestFrame, WireStatus,
 };
 use bfly_serve::{IngressConfig, Payload, QosConfig, RateLimit, ServeConfig, Server};
 use proptest::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
@@ -153,6 +154,100 @@ proptest! {
         let cut = 1 + cut_seed % (bytes.len() - 1);
         let outcome = decode_stream(&bytes[..cut], chunk);
         prop_assert!(outcome.is_err(), "a frame cut at byte {} must error", cut);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, pushed in segments cut at arbitrary points, decode
+    /// to frames or to a typed `FrameError`, never a panic: raw noise, and
+    /// random bodies behind a valid prelude (magic, version, kind, and the
+    /// length and checksum of the body that follows), with the body's own
+    /// name and row counts made to add up in half the cases, and its other
+    /// fields made legal in half of those. A consistent body under the size
+    /// limit passes every framing check, so only a body field can reject
+    /// it, and with legal fields it decodes.
+    #[test]
+    fn arbitrary_byte_streams_decode_or_fail_typed(
+        noise in prop::collection::vec(0u8..=255, 0usize..160),
+        body in prop::collection::vec(0u8..=255, 0usize..160),
+        framed in 0u8..2,
+        consistent in 0u8..2,
+        valid_fields in 0u8..2,
+        kind in 0u8..3,
+        cuts in prop::collection::vec(0usize..1_000, 0usize..6),
+        max_frame_bytes in 0usize..320,
+    ) {
+        let (framed, consistent, mut body) = (framed == 1, consistent == 1, body);
+        if consistent && kind < 2 && body.len() >= BODY_FIXED_LEN {
+            let rest = body.len() - BODY_FIXED_LEN;
+            let (model_len, tenant_len) = if kind == 0 {
+                let model_len = usize::from(body[1]) % (rest + 1);
+                (model_len, usize::from(body[2]) % (rest - model_len + 1))
+            } else {
+                (0, 0)
+            };
+            let rows = (rest - model_len - tenant_len) / 4;
+            body.truncate(BODY_FIXED_LEN + model_len + tenant_len + 4 * rows);
+            if kind == 0 {
+                (body[1], body[2]) = (model_len as u8, tenant_len as u8);
+            }
+            body[28..32].copy_from_slice(&(rows as u32).to_le_bytes());
+            if valid_fields == 1 {
+                // A legal class or status code, zero padding and ASCII
+                // names: the frame decodes.
+                body[0] %= if kind == 0 { 2 } else { 7 };
+                let pad = if kind == 0 { 3..4 } else { 1..4 };
+                body[pad].fill(0);
+                for b in &mut body[BODY_FIXED_LEN..BODY_FIXED_LEN + model_len + tenant_len] {
+                    *b &= 0x7f;
+                }
+            }
+        }
+        let mut bytes = Vec::new();
+        if framed {
+            bytes.extend_from_slice(&MAGIC.to_le_bytes());
+            bytes.extend_from_slice(&[VERSION, kind]);
+            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+            bytes.extend_from_slice(&body);
+        }
+        bytes.extend_from_slice(&noise);
+
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+        bounds.extend([0, bytes.len()]);
+        bounds.sort_unstable();
+        let mut decoder = FrameDecoder::new(max_frame_bytes);
+        let mut first: Option<Result<Frame, FrameError>> = None;
+        'feed: for w in bounds.windows(2) {
+            decoder.push(Arc::from(&bytes[w[0]..w[1]]));
+            loop {
+                match decoder.next_frame() {
+                    Ok(Some(frame)) => {
+                        first.get_or_insert(Ok(frame));
+                    }
+                    Ok(None) => break,
+                    Err(e) => {
+                        first.get_or_insert(Err(e));
+                        break 'feed;
+                    }
+                }
+            }
+        }
+        let _ = decoder.finish();
+        let passes_framing = framed
+            && consistent
+            && kind < 2
+            && body.len() >= BODY_FIXED_LEN
+            && body.len() <= max_frame_bytes;
+        if passes_framing {
+            match first {
+                Some(Ok(_)) => {}
+                Some(Err(FrameError::BadField(_))) if valid_fields == 0 => {}
+                other => prop_assert!(false, "a well-framed body decoded to {:?}", other),
+            }
+        }
     }
 }
 
